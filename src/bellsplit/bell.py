@@ -15,19 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import state as state_mod
-from .scattering import GammaPair, HybridMatrix, gammas, realize_hybrid
-from .smallmat import (
-    ConsistencyError,
-    PAULIS,
-    SIGMA_Z,
-    as_cmat,
-    dagger,
-    det2,
-    is_unitary,
-    per2,
-    tilde2,
-)
-from .state import PolarizationState, ZeroCoincidence, normalization
+from .scattering import GammaPair, HybridMatrix, gammas, gram_invariants, realize_hybrid
+from .smallmat import ConsistencyError, PAULIS, SIGMA_Z, as_cmat, dagger, is_unitary
+from .state import PolarizationState, normalization, require_coincidences
 
 __all__ = [
     "AnalyzerSetting",
@@ -35,9 +25,9 @@ __all__ = [
     "BellReport",
     "coincidence_probs",
     "correlator_e",
-    "correlator_e_trace",
     "correlation_matrix",
     "u_eigen_closed",
+    "emax_and_branch",
     "emax",
     "chsh_bruteforce",
     "DEFAULT_BRUTEFORCE_BUDGET",
@@ -110,12 +100,6 @@ def correlator_e(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSett
     return float((p[0] + p[3] - p[1] - p[2]) / total)
 
 
-def correlator_e_trace(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSetting) -> float:
-    """Correlator E as a trace against the rotated sigma_z observables (fast path)."""
-    obs = np.kron(rl.observable(), rr.observable())
-    return float(np.trace(state.rho @ obs).real)
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """3x3 real correlation tensor R_kl = Tr rho sigma_k x sigma_l."""
@@ -155,20 +139,6 @@ def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> Correlat
     return CorrelationMatrix(r)
 
 
-def _closed_traces(X: HybridMatrix, statistics: str) -> tuple[float, float, float, float]:
-    gram = X.gram
-    tr = np.trace(gram).real
-    t1 = float(tr - 2.0 * per2(gram).real)
-    t2 = float(tr - 2.0 * det2(gram).real)
-    if statistics == "fermionic":
-        t1, t2 = t2, t1
-    elif statistics != "bosonic":
-        raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
-    tt = 2.0 * np.sqrt(max(0.0, (det2(gram) * det2(np.eye(2) - gram)).real))
-    c = float(np.trace(SIGMA_Z @ gram).real)
-    return t1, t2, tt, c
-
-
 def u_eigen_closed(
     X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic"
 ) -> tuple[float, float, float]:
@@ -180,10 +150,8 @@ def u_eigen_closed(
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
     a = alpha_sq
-    t1, t2, tt, c = _closed_traces(X, statistics)
-    norm = (1.0 + a) * t1 + (1.0 - a) * t2
-    if norm <= 1e-14:
-        raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
+    t1, t2, tt, c = gram_invariants(X.gram, statistics)
+    norm = require_coincidences((1.0 + a) * t1 + (1.0 - a) * t2)
     big_t = norm**2 + 4.0 * tt**2 - 4.0 * (1.0 - a**2) * (t1 * t2 - c**2)
     big_d = 4.0 * tt**2 * (norm**2 - 4.0 * (1.0 - a**2) * t1 * t2)
     disc = np.sqrt(max(0.0, big_t**2 - 4.0 * big_d))
@@ -194,6 +162,12 @@ def u_eigen_closed(
         if not -1e-8 <= u <= 1.0 + 1e-6:
             raise ConsistencyError(f"correlation eigenvalue {u} escapes [0, 1]")
     return float(max(u1, 0.0)), float(max(u2, 0.0)), float(max(u3, 0.0))
+
+
+def emax_and_branch(u: tuple[float, float, float]) -> tuple[float, str]:
+    """CHSH maximum 2 sqrt(u1 + max(u2, u3)) from the closed-form spectrum, and its active branch."""
+    u1, u2, u3 = u
+    return float(2.0 * np.sqrt(u1 + max(u2, u3))), "u3_active" if u3 >= u2 else "u2_active"
 
 
 class BellReport(NamedTuple):
@@ -238,9 +212,8 @@ def emax(
     """
     if gamma_pair is not None:
         statistics = gamma_pair.statistics
-    u1, u2, u3 = u_eigen_closed(X, alpha_sq, statistics)
-    emax_closed = 2.0 * np.sqrt(u1 + max(u2, u3))
-    branch = "u3_active" if u3 >= u2 else "u2_active"
+    u = u_eigen_closed(X, alpha_sq, statistics)
+    emax_closed, branch = emax_and_branch(u)
 
     if gamma_pair is None:
         gamma_pair = gammas(realize_hybrid(X.gram), statistics)
@@ -256,13 +229,11 @@ def emax(
     if emax_closed > TSIRELSON + 1e-8 or emax_h > TSIRELSON + 1e-8:
         raise ConsistencyError("CHSH maximum exceeds the quantum bound")
     return BellReport(
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        emax_closed=float(emax_closed),
+        *u,
+        emax_closed=emax_closed,
         emax_horodecki=float(emax_h),
         emax_bruteforce=float(emax_bf),
-        violating=bool(emax_closed > 2.0),
+        violating=emax_closed > 2.0,
         branch=branch,
     )
 

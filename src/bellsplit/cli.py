@@ -134,7 +134,6 @@ def _build_config(args) -> dict:
     if args.preset:
         cfg["scattering"] = {"preset": args.preset}
     if args.alpha_sq is not None:
-        cfg.setdefault("alpha", {})
         cfg["alpha"] = {"alpha_sq": args.alpha_sq}
     if args.tau is not None:
         alpha_cfg = cfg.get("alpha", {})
@@ -159,8 +158,10 @@ def cmd_analyze(args) -> int:
     if "alpha" not in cfg:
         raise ConfigError("no alpha source configured (use --alpha-sq or config wavepackets)")
     statistics = cfg.get("statistics", "bosonic")
-    if statistics not in ("bosonic", "fermionic"):
-        raise ConfigError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+    try:
+        scattering.check_statistics(statistics)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     sm, scattering_source = _load_scattering(cfg["scattering"])
     alpha, alpha_source = _resolve_alpha(cfg["alpha"])
@@ -215,16 +216,7 @@ def cmd_analyze(args) -> int:
             "coincidence_prob": report.coincidence_prob,
             "classical_prob": state.mandel_dip(x, a).classical_prob,
         },
-        "bell": {
-            "u1": bell_report.u1,
-            "u2": bell_report.u2,
-            "u3": bell_report.u3,
-            "emax_closed": bell_report.emax_closed,
-            "emax_horodecki": bell_report.emax_horodecki,
-            "emax_bruteforce": bell_report.emax_bruteforce,
-            "violating": bell_report.violating,
-            "branch": bell_report.branch,
-        },
+        "bell": bell_report.to_json(),
         "semi_polar": semi,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -295,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--preset", help="scattering preset, e.g. balanced_pc or balanced_mixing(0.5)")
     p_analyze.add_argument("--alpha-sq", type=float, dest="alpha_sq", help="direct |alpha|^2 override")
     p_analyze.add_argument("--tau", type=float, help="coincidence window width (with config wavepackets)")
-    p_analyze.add_argument("--statistics", choices=["bosonic", "fermionic"])
+    p_analyze.add_argument("--statistics", choices=scattering.STATISTICS)
     p_analyze.add_argument("--out", help="output path (default stdout)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_scan = sub.add_parser("scan", help="scan the balanced parameter plane to CSV")
     p_scan.add_argument("--grid", default="200x200", help="grid size AxB (alpha_sq x hv_sq points)")
-    p_scan.add_argument("--statistics", choices=["bosonic", "fermionic"])
+    p_scan.add_argument("--statistics", choices=scattering.STATISTICS)
     p_scan.add_argument("--out", help="output path (default stdout)")
     p_scan.set_defaults(func=cmd_scan)
 

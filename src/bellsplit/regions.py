@@ -18,8 +18,8 @@ import numpy as np
 
 from .scattering import HybridMatrix, ScatteringMatrix, realize_hybrid
 from .smallmat import ConsistencyError
-from .state import ZeroCoincidence, concurrence_closed
-from .bell import u_eigen_closed
+from .state import ZeroCoincidence, concurrence_closed, require_coincidences
+from .bell import emax_and_branch, u_eigen_closed
 
 __all__ = [
     "BalancedPoint",
@@ -99,10 +99,8 @@ def balanced_concurrence(p: BalancedPoint, statistics: str = "bosonic") -> float
     """
     a, h = p.alpha_sq, p.hv_sq
     if statistics == "bosonic":
-        den = 1.0 - 4.0 * a * h
-        if den <= 1e-14:
-            raise ZeroCoincidence(f"balanced point ({a}, {h}) has no surviving coincidences")
-        return float(a * (1.0 - 4.0 * h) / den)
+        # On the slice the mixture norm is 1 - 4 a h.
+        return float(a * (1.0 - 4.0 * h) / require_coincidences(1.0 - 4.0 * a * h))
     return concurrence_closed(HybridMatrix(_sqrt_gram(p.hv_sq)), a, statistics)
 
 
@@ -123,7 +121,8 @@ def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> RegionReport
     a, h = p.alpha_sq, p.hv_sq
     c = balanced_concurrence(p, statistics)
     x = HybridMatrix(_sqrt_gram(h))
-    u1, u2, u3 = u_eigen_closed(x, a, statistics)
+    u = u_eigen_closed(x, a, statistics)
+    _, u2, u3 = u
     if statistics == "bosonic" and a > 0.0 and abs(u2 - u3) > 1e-12:
         # The branch predicted by the crossover curve must match the actual
         # ordering; at a tie either branch is acceptable.
@@ -132,15 +131,14 @@ def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> RegionReport
             raise ConsistencyError(
                 f"branch crossover prediction failed at ({a}, {h}): u2={u2}, u3={u3}"
             )
-    branch = "u3_active" if u3 >= u2 else "u2_active"
-    e = 2.0 * np.sqrt(u1 + max(u2, u3))
+    e, branch = emax_and_branch(u)
     if e > 2.0 + 1e-12:
         region = "violating"
     elif c <= 1e-12:
         region = "unentangled"
     else:
         region = "entangled_nonviolating"
-    return RegionReport(concurrence=c, emax=float(e), branch=branch, region=region)
+    return RegionReport(concurrence=c, emax=e, branch=branch, region=region)
 
 
 class NoMixingResult(NamedTuple):
@@ -160,13 +158,11 @@ def no_mixing_case(X: HybridMatrix, alpha_sq: float) -> NoMixingResult:
         raise ValueError(f"no-mixing case requires a diagonal Gram matrix, off-diagonal {gram[0, 1]}")
     g_hh, g_vv = gram[0, 0].real, gram[1, 1].real
     den = g_hh + g_vv - 2.0 * g_hh * g_vv
-    if den <= 1e-14:
-        raise ZeroCoincidence("no-mixing point has no surviving coincidences")
+    require_coincidences(2.0 * den)
     c = 2.0 * alpha_sq * np.sqrt(max(0.0, g_hh * (1.0 - g_hh) * g_vv * (1.0 - g_vv))) / den
     e = 2.0 * np.sqrt(1.0 + c**2)
     c_general = concurrence_closed(X, alpha_sq)
-    u1, u2, u3 = u_eigen_closed(X, alpha_sq)
-    e_general = 2.0 * np.sqrt(u1 + max(u2, u3))
+    e_general, _ = emax_and_branch(u_eigen_closed(X, alpha_sq))
     if abs(c - c_general) > 1e-10 or abs(e - e_general) > 1e-10:
         raise ConsistencyError(
             f"no-mixing formulas disagree with the general pipeline: "

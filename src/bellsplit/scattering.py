@@ -12,6 +12,7 @@ so r = S[0:2, 0:2], t' = S[0:2, 2:4], t = S[2:4, 0:2], r' = S[2:4, 2:4].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +21,6 @@ import numpy as np
 from .smallmat import (
     DEFAULT_TOLERANCES,
     SIGMA_IN,
-    SIGMA_Z,
     as_cmat,
     dagger,
     det2,
@@ -39,6 +39,7 @@ __all__ = [
     "ScatteringMatrix",
     "HybridMatrix",
     "GammaPair",
+    "STATISTICS",
     "TraceIdentities",
     "PolarFactors",
     "make_scattering",
@@ -46,6 +47,8 @@ __all__ = [
     "PRESET_NAMES",
     "hybrid",
     "gammas",
+    "check_statistics",
+    "gram_invariants",
     "trace_identities",
     "outgoing_matrix",
     "polar_decompose_s",
@@ -186,10 +189,18 @@ def hybrid(sm: ScatteringMatrix) -> HybridMatrix:
     return HybridMatrix(x)
 
 
+STATISTICS = ("bosonic", "fermionic")
+
+
+def check_statistics(statistics: str) -> None:
+    """Reject any particle statistics other than the two in STATISTICS."""
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+
+
 def gammas(sm: ScatteringMatrix, statistics: str = "bosonic") -> GammaPair:
     """Amplitude matrices of the scattered pair, swapped for fermions."""
-    if statistics not in ("bosonic", "fermionic"):
-        raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+    check_statistics(statistics)
     direct = sm.r @ SIGMA_IN @ sm.r_prime.T
     exchange = sm.t_prime @ SIGMA_IN.T @ sm.t.T
     g1 = direct + exchange
@@ -197,6 +208,24 @@ def gammas(sm: ScatteringMatrix, statistics: str = "bosonic") -> GammaPair:
     if statistics == "fermionic":
         g1, g2 = g2, g1
     return GammaPair(g1, g2, statistics)
+
+
+def gram_invariants(gram: np.ndarray, statistics: str) -> tuple[float, float, float, float]:
+    """The four scalar invariants of the amplitude pair, from the hybrid Gram matrix alone.
+
+    Returns (Tr g1† g1, Tr g2† g2, |Tr g1† g1~|, Tr g1† g2). The permanent and
+    the determinant of the Gram matrix give the two norms; for fermions the
+    amplitude matrices, and with them the two norms, trade places. The last
+    invariant is Tr sigma_z G = G_HH - G_VV for either statistics.
+    """
+    check_statistics(statistics)
+    g_hh, g_vv = float(gram[0, 0].real), float(gram[1, 1].real)
+    t1 = float(g_hh + g_vv - 2.0 * per2(gram).real)
+    t2 = float(g_hh + g_vv - 2.0 * det2(gram).real)
+    if statistics == "fermionic":
+        t1, t2 = t2, t1
+    tt = 2.0 * math.sqrt(max(0.0, (det2(gram) * det2(np.eye(2) - gram)).real))
+    return t1, t2, tt, g_hh - g_vv
 
 
 def trace_identities(sm: ScatteringMatrix) -> TraceIdentities:
@@ -209,15 +238,8 @@ def trace_identities(sm: ScatteringMatrix) -> TraceIdentities:
         tr_g2g2=float(np.trace(dagger(g2) @ g2).real),
         tr_g1g2=complex(np.trace(dagger(g1) @ g2)),
     )
-    gram = hybrid(sm).gram
-    d = det2(gram).real
-    d_c = det2(np.eye(2) - gram).real
-    hybrid_side = TraceSides(
-        abs_tr_g1tg1=2.0 * np.sqrt(max(0.0, d * d_c)),
-        tr_g1g1=float((np.trace(gram) - 2 * per2(gram)).real),
-        tr_g2g2=float((np.trace(gram) - 2 * det2(gram)).real),
-        tr_g1g2=complex(np.trace(SIGMA_Z @ gram).real),
-    )
+    t1, t2, tt, c = gram_invariants(hybrid(sm).gram, g.statistics)
+    hybrid_side = TraceSides(abs_tr_g1tg1=tt, tr_g1g1=t1, tr_g2g2=t2, tr_g1g2=complex(c))
     return TraceIdentities(gamma_side, hybrid_side)
 
 

@@ -13,17 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scattering import GammaPair, HybridMatrix
-from .smallmat import (
-    SIGMA_Y,
-    as_cmat,
-    dagger,
-    det2,
-    herm_eigen,
-    max_abs,
-    per2,
-    tilde2,
-)
+from .scattering import GammaPair, HybridMatrix, gram_invariants
+from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, tilde2
 
 __all__ = [
     "ZeroCoincidence",
@@ -33,6 +24,7 @@ __all__ = [
     "vec",
     "build_rho",
     "normalization",
+    "require_coincidences",
     "coincidence_denominator",
     "concurrence_closed",
     "concurrence_gamma",
@@ -41,11 +33,23 @@ __all__ = [
     "concurrence_report",
 ]
 
-_N_FLOOR = 1e-14
+#: Mixture norm (twice the coincidence probability) at or below which the
+#: postselected ensemble counts as empty.
+_N_FLOOR = 2e-14
 
 
 class ZeroCoincidence(ValueError):
     """The coincidence-postselected ensemble is empty; the state is undefined."""
+
+
+def require_coincidences(norm: float) -> float:
+    """Pass a mixture norm through, raising ZeroCoincidence when the ensemble is empty.
+
+    Every route to the state and to its closed forms applies this one test.
+    """
+    if norm <= _N_FLOOR:
+        raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
+    return norm
 
 
 def vec(gamma) -> np.ndarray:
@@ -104,9 +108,7 @@ def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     """Build the postselected polarization density matrix from (gamma1, gamma2, |alpha|^2)."""
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
-    norm = normalization(g, alpha_sq)
-    if norm <= _N_FLOOR:
-        raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
+    norm = require_coincidences(normalization(g, alpha_sq))
     v1, v2 = vec(g.gamma1), vec(g.gamma2)
     rho = (
         (1.0 + alpha_sq) * np.outer(v1, v1.conj()) + (1.0 - alpha_sq) * np.outer(v2, v2.conj())
@@ -121,36 +123,22 @@ def coincidence_denominator(X: HybridMatrix, alpha_sq: float, statistics: str = 
     For fermions the permanent and determinant trade places (the amplitude
     matrices swap), turning the bunching dip into an antibunching peak.
     """
-    gram = X.gram
-    tr = np.trace(gram).real
-    p = per2(gram).real
-    d = det2(gram).real
-    if statistics == "bosonic":
-        return float(tr - (1.0 + alpha_sq) * p - (1.0 - alpha_sq) * d)
-    if statistics == "fermionic":
-        return float(tr - (1.0 + alpha_sq) * d - (1.0 - alpha_sq) * p)
-    raise ValueError(f"statistics must be 'bosonic' or 'fermionic', got {statistics!r}")
+    t1, t2, _, _ = gram_invariants(X.gram, statistics)
+    return float(((1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2) / 2.0)
 
 
 def concurrence_closed(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
     """Concurrence in closed form from the hybrid Gram matrix and |alpha|^2."""
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
-    gram = X.gram
-    den = coincidence_denominator(X, alpha_sq, statistics)
-    if den <= _N_FLOOR:
-        raise ZeroCoincidence(f"coincidence probability underflows ({den:.3e})")
-    d = det2(gram).real
-    d_c = det2(np.eye(2) - gram).real
-    c = 2.0 * alpha_sq * np.sqrt(max(0.0, d * d_c)) / den
-    return float(min(max(c, 0.0), 1.0))
+    t1, t2, tt, _ = gram_invariants(X.gram, statistics)
+    norm = require_coincidences((1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2)
+    return float(min(max(2.0 * alpha_sq * tt / norm, 0.0), 1.0))
 
 
 def concurrence_gamma(g: GammaPair, alpha_sq: float) -> float:
     """Concurrence from the amplitude matrices: 2 |alpha|^2 |Tr g1† g1~| / norm."""
-    norm = normalization(g, alpha_sq)
-    if norm <= _N_FLOOR:
-        raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
+    norm = require_coincidences(normalization(g, alpha_sq))
     tt = abs(np.trace(dagger(g.gamma1) @ tilde2(g.gamma1)))
     c = 2.0 * alpha_sq * tt / norm
     return float(min(max(c, 0.0), 1.0))

@@ -116,11 +116,7 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
                 suites["gisin_pure"].absorb(abs(e_closed - 2.0 * np.sqrt(1.0 + c_closed**2)))
 
         if bruteforce:
-            a = float(random_alphas[i])
-            rho = state.build_rho(g, a)
-            corr = bell.correlation_matrix(rho).r
-            w = np.sort(np.linalg.eigvalsh(corr.T @ corr))
-            e_h = 2.0 * np.sqrt(max(0.0, w[2] + w[1]))
+            # The ladder ends on the random alpha, so rho and e_h are its state and Horodecki value.
             e_bf = bell.chsh_bruteforce(rho)
             suites["bruteforce_gap"].absorb(max(0.0, e_h - e_bf))
             suites["bruteforce_excess"].absorb(max(0.0, e_bf - e_h))

@@ -94,10 +94,6 @@ class GaussianPacket:
         if not (self.width > 0.0):
             raise ValueError("width must be positive")
 
-    @property
-    def coherence_time(self) -> float:
-        return 1.0 / self.width
-
     def support(self) -> tuple[float, float]:
         # +-8 sigma: the neglected tail of the intensity is below 1e-14.
         return (self.center - 8.0 * self.width, self.center + 8.0 * self.width)
@@ -154,10 +150,6 @@ class TabulatedPacket:
             raise ValueError("cannot normalize a zero packet")
         factor = 1.0 / np.sqrt(norm)
         return cls(omega, amp * factor), factor
-
-    @property
-    def coherence_time(self) -> float:
-        return 1.0 / (self.omega[-1] - self.omega[0])
 
     def support(self) -> tuple[float, float]:
         return (float(self.omega[0]), float(self.omega[-1]))

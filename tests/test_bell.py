@@ -9,7 +9,6 @@ from bellsplit.bell import (
     coincidence_probs,
     correlation_matrix,
     correlator_e,
-    correlator_e_trace,
     emax,
     u_eigen_closed,
 )
@@ -23,6 +22,12 @@ BELL_PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
 MAXIMALLY_MIXED = np.eye(4, dtype=complex) / 4.0
 
 PRODUCT_HH = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+def correlator_e_trace(state, rl, rr):
+    """Trace oracle for the count-ratio correlator: Tr rho (O_l x O_r) with O = rotation† sigma_z rotation."""
+    obs = np.kron(rl.observable(), rr.observable())
+    return float(np.trace(state.rho @ obs).real)
 
 
 def pipeline(seed, alpha_sq):

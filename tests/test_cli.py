@@ -92,6 +92,13 @@ class TestAnalyze:
         assert code == 2
         assert "exactly one alpha source" in err
 
+    def test_bad_statistics_in_config(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"statistics": "anyonic"}))
+        code, _, err = run(capsys, "analyze", "--config", str(config), "--preset", "balanced_pc", "--alpha-sq", "0.5")
+        assert code == 2
+        assert "statistics must be 'bosonic' or 'fermionic'" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "--config", "/nonexistent/cfg.json")
         assert code == 2

@@ -65,6 +65,30 @@ def _sqrt_balanced(hv_sq):
     return np.array([[(p + m) / 2, (p - m) / 2], [(p - m) / 2, (p + m) / 2]], complex)
 
 
+@pytest.mark.parametrize("norm", [5e-15, 1.5e-14, 3e-14])
+def test_closed_forms_agree_on_empty_ensemble(norm):
+    # Near the corner (1, 1/4) the mixture norm is 1 - 4 hv_sq; every
+    # closed-form entry point must draw the empty-ensemble line in one place.
+    hv_sq = 0.25 - norm / 4.0
+    x = HybridMatrix(_sqrt_balanced(hv_sq))
+    p = BalancedPoint(1.0, hv_sq)
+    calls = [
+        lambda: concurrence_closed(x, 1.0),
+        lambda: u_eigen_closed(x, 1.0),
+        lambda: balanced_concurrence(p),
+        lambda: balanced_emax(p),
+    ]
+    raised = []
+    for call in calls:
+        try:
+            call()
+            raised.append(False)
+        except ZeroCoincidence:
+            raised.append(True)
+    assert raised in ([True] * 4, [False] * 4), raised
+    assert raised[0] == (norm < 2e-14)
+
+
 class TestBalancedPoint:
     def test_bounds(self):
         with pytest.raises(ValueError):

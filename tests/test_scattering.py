@@ -8,6 +8,7 @@ from bellsplit.scattering import (
     assemble_polar,
     canonicalize_input,
     gammas,
+    gram_invariants,
     hybrid,
     make_scattering,
     outgoing_matrix,
@@ -131,6 +132,28 @@ class TestGammas:
             assert abs(np.trace(dagger(g.gamma2) @ tilde2(g.gamma1))) <= 1e-10
             s = np.trace(dagger(g.gamma1) @ tilde2(g.gamma1)) + np.trace(dagger(g.gamma2) @ tilde2(g.gamma2))
             assert abs(s) <= 1e-10
+
+
+class TestGramInvariants:
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_match_gamma_traces(self, statistics):
+        # The Gram route carries the fermionic swap: compare with the traces
+        # of the amplitude matrices built for the same statistics.
+        for u in haar_ensemble(4, 200, base_seed=96_000):
+            sm = make_scattering(u)
+            g = gammas(sm, statistics)
+            direct = (
+                np.trace(dagger(g.gamma1) @ g.gamma1).real,
+                np.trace(dagger(g.gamma2) @ g.gamma2).real,
+                abs(np.trace(dagger(g.gamma1) @ tilde2(g.gamma1))),
+                np.trace(dagger(g.gamma1) @ g.gamma2),
+            )
+            got = gram_invariants(hybrid(sm).gram, statistics)
+            assert max(abs(x - y) for x, y in zip(got, direct)) <= 1e-10
+
+    def test_bad_statistics(self):
+        with pytest.raises(ValueError, match="statistics must be"):
+            gram_invariants(hybrid(preset("balanced_pc")).gram, "anyonic")
 
 
 class TestTraceIdentities:

@@ -14,6 +14,7 @@ from bellsplit.state import (
     concurrence_wootters,
     mandel_dip,
     normalization,
+    require_coincidences,
     vec,
 )
 # Permutation splitter sending both photons to the same side: the
@@ -78,6 +79,13 @@ class TestBuildRho:
         assert max_abs(g.gamma1) <= 1e-15 and max_abs(g.gamma2) <= 1e-15
         with pytest.raises(ZeroCoincidence):
             build_rho(g, 0.5)
+
+    def test_empty_ensemble_floor(self):
+        # Mixture norm 2e-14 is a coincidence probability of 1e-14.
+        assert require_coincidences(2.5e-14) == 2.5e-14
+        for norm in (2e-14, 0.0, -1e-16):
+            with pytest.raises(ZeroCoincidence):
+                require_coincidences(norm)
 
     def test_from_matrix_allows_full_rank(self):
         state = PolarizationState.from_matrix(np.eye(4) / 4.0)
