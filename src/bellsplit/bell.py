@@ -9,6 +9,7 @@ standing consistency test of the whole pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,11 +153,14 @@ def u_eigen_closed(
     a = alpha_sq
     t1, t2, tt, c = gram_invariants(X.gram, statistics)
     norm = require_coincidences((1.0 + a) * t1 + (1.0 - a) * t2)
-    big_t = norm**2 + 4.0 * tt**2 - 4.0 * (1.0 - a**2) * (t1 * t2 - c**2)
-    big_d = 4.0 * tt**2 * (norm**2 - 4.0 * (1.0 - a**2) * t1 * t2)
-    disc = np.sqrt(max(0.0, big_t**2 - 4.0 * big_d))
-    u1 = (big_t + disc) / (2.0 * norm**2)
-    u2 = (big_t - disc) / (2.0 * norm**2)
+    # u1, u2 = (T +- sqrt(T^2 - 4D)) / (2 norm^2) with T = A + B. Where u1 = u2,
+    # T^2 - 4D cancels to ~1e-16 and its root to ~1e-8; the equal sum of squares
+    # (A - B)^2 + 64 (1 - a^2) c^2 tt^2 keeps full precision.
+    big_a = norm**2 - 4.0 * (1.0 - a**2) * (t1 * t2 - c**2)
+    big_b = 4.0 * tt**2
+    disc = math.hypot(big_a - big_b, 8.0 * math.sqrt(1.0 - a**2) * c * tt)
+    u1 = (big_a + big_b + disc) / (2.0 * norm**2)
+    u2 = (big_a + big_b - disc) / (2.0 * norm**2)
     u3 = 4.0 * a**2 * tt**2 / norm**2
     for u in (u1, u2, u3):
         if not -1e-8 <= u <= 1.0 + 1e-6:

@@ -147,6 +147,17 @@ class TestClosedEigenvalues:
             closed = np.sort(u_eigen_closed(x, rho.alpha_sq))
             assert np.abs(numeric - closed).max() <= 1e-8
 
+    def test_degenerate_u1_u2_matches_horodecki(self):
+        # Pure states of the mixing splitter have u1 = u2 = 1 for every theta,
+        # where the discriminant of the closed form vanishes.
+        for theta in np.linspace(0.01, 1.56, 2000):
+            sm = preset("balanced_mixing", float(theta))
+            u1, u2, u3 = u_eigen_closed(hybrid(sm), 1.0)
+            r = correlation_matrix(build_rho(gammas(sm), 1.0)).r
+            w = np.linalg.eigvalsh(r.T @ r)
+            e_h = 2.0 * np.sqrt(max(0.0, w[-1] + w[-2]))
+            assert abs(2.0 * np.sqrt(u1 + max(u2, u3)) - e_h) <= 1e-8, theta
+
     def test_zero_coincidence_raises(self):
         x = hybrid(preset("balanced_mixing", np.pi / 2.0))
         with pytest.raises(ZeroCoincidence):

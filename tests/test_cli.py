@@ -149,6 +149,20 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["alpha"]["alpha_sq"] >= 1.0 - 1e-4  # ultrashort window
 
+    def test_maximally_entangled_mixing_preset_is_consistent(self, capsys):
+        # A pure state with u1 = u2: the closed form must hold the 1e-8 gate here.
+        code, out, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.9125512756378189)", "--alpha-sq", "1")
+        assert code == 0
+        bell = json.loads(out)["bell"]
+        assert abs(bell["emax_closed"] - bell["emax_horodecki"]) <= 1e-10
+
+    @pytest.mark.parametrize("offset", [1.2247e-7, 1.4e-7])
+    def test_near_full_mixing_is_empty_ensemble(self, capsys, offset):
+        preset = f"balanced_mixing({np.pi / 2 - offset!r})"
+        code, _, err = run(capsys, "analyze", "--preset", preset, "--alpha-sq", "1")
+        assert code == 3
+        assert "empty postselected ensemble" in err
+
     def test_fermionic_statistics_changes_result(self, capsys):
         code_b, out_b, _ = run(
             capsys, "analyze", "--preset", "balanced_mixing(0.8)", "--alpha-sq", "0.9"

@@ -89,6 +89,15 @@ def test_closed_forms_agree_on_empty_ensemble(norm):
     assert raised[0] == (norm < 2e-14)
 
 
+def test_emax_within_verstraete_wolf_bound():
+    # E_max <= 2 sqrt(1 + C^2) (Verstraete & Wolf, PRL 89, 170401), tight
+    # where u1 = u2, as on the whole a = 1 line.
+    for a in (0.5, 0.9, 1.0):
+        for h in np.linspace(0.0, 0.25, 200)[:-1]:
+            rep = balanced_emax(BalancedPoint(a, float(h)))
+            assert rep.emax <= 2.0 * np.sqrt(1.0 + rep.concurrence**2) + 1e-12, (a, h)
+
+
 class TestBalancedPoint:
     def test_bounds(self):
         with pytest.raises(ValueError):
