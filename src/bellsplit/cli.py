@@ -214,7 +214,7 @@ def cmd_analyze(args) -> int:
         "mandel": {
             "dip": report.mandel_dip,
             "coincidence_prob": report.coincidence_prob,
-            "classical_prob": state.mandel_dip(x, a).classical_prob,
+            "classical_prob": report.classical_prob,
         },
         "bell": bell_report.to_json(),
         "semi_polar": semi,

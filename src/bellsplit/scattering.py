@@ -25,7 +25,6 @@ from .smallmat import (
     dagger,
     det2,
     herm_eigen,
-    is_unitary,
     max_abs,
     per2,
     svd2,

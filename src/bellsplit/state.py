@@ -190,6 +190,7 @@ class ConcurrenceReport(NamedTuple):
     c_wootters: float
     mandel_dip: float
     coincidence_prob: float
+    classical_prob: float
 
 
 def concurrence_report(g: GammaPair, X: HybridMatrix, alpha_sq: float) -> ConcurrenceReport:
@@ -205,4 +206,5 @@ def concurrence_report(g: GammaPair, X: HybridMatrix, alpha_sq: float) -> Concur
         c_wootters=concurrence_wootters(state),
         mandel_dip=coincidence - classical,
         coincidence_prob=coincidence,
+        classical_prob=classical,
     )

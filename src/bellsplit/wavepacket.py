@@ -61,19 +61,15 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     if n < 2:
         raise ValueError("grid needs at least two points")
     w = np.zeros(n)
-    i = 0
-    while i + 2 <= n - 1:
-        h0 = x[i + 1] - x[i]
-        h1 = x[i + 2] - x[i + 1]
-        s = h0 + h1
-        w[i] += s * (2.0 - h1 / h0) / 6.0
-        w[i + 1] += s**3 / (6.0 * h0 * h1)
-        w[i + 2] += s * (2.0 - h0 / h1) / 6.0
-        i += 2
-    if i == n - 2:  # odd number of intervals: close the last one with a trapezoid
-        h = x[-1] - x[-2]
-        w[-2] += h / 2.0
-        w[-1] += h / 2.0
+    h = np.diff(x)
+    end = n - 1 - (n - 1) % 2  # last node of the Simpson pairs
+    h0, h1 = h[0:end:2], h[1:end:2]
+    s = h0 + h1
+    w[0:end:2] += s * (2.0 - h1 / h0) / 6.0
+    w[1:end:2] += s**3 / (6.0 * h0 * h1)
+    w[2 : end + 1 : 2] += s * (2.0 - h0 / h1) / 6.0
+    if end == n - 2:  # odd number of intervals: close the last one with a trapezoid
+        w[-2:] += h[-1] / 2.0
     return w
 
 
@@ -161,10 +157,8 @@ class TabulatedPacket:
         return re + 1j * im
 
     def time_amplitude(self, t) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        phases = np.exp(1j * np.outer(ts, self.omega))
-        out = phases @ (self._weights * self.amp)
-        return out if np.ndim(t) else out[0]
+        t = np.asarray(t, dtype=float)
+        return np.exp(1j * (t[..., None] * self.omega)) @ (self._weights * self.amp)
 
 
 Wavepacket = GaussianPacket | TabulatedPacket
@@ -235,36 +229,43 @@ def _refined_integral(fn, lo: float, hi: float, breaks, tol: float, max_level: i
 
     ``breaks`` lists interior points where the integrand may have kinks
     (tabulated-grid nodes); segments between them are smooth, so Simpson
-    refinement converges fast. Returns the integral; raises
-    QuadratureNotConverged if doubling stalls above ``tol``.
+    refinement converges fast. ``fn`` maps a (segments, nodes) array to the
+    integrand, or to k integrands stacked on a leading axis, each of which
+    stops at its own level. Returns the integral, or the array of k; an empty
+    interval gives zero. Raises QuadratureNotConverged if doubling stalls
+    above ``tol``.
     """
-    if hi <= lo:
-        return 0.0 + 0.0j
-    pts = [lo] + [float(b) for b in np.asarray(breaks, dtype=float) if lo < b < hi] + [hi]
-    pts = sorted(set(pts))
-    segments = list(zip(pts[:-1], pts[1:]))
+    inner = np.asarray(breaks, dtype=float)
+    pts = np.sort(np.concatenate(([lo, max(lo, hi)], inner[(lo < inner) & (inner < hi)])))
+    pts = pts[np.diff(pts, prepend=-np.inf) > 0]  # drop repeated breaks
+    a, width = pts[:-1], np.diff(pts)
     # With many tabulated segments each one is already short; start shallow.
-    start_level = 3 if len(segments) < 64 else 1
+    start_level = 3 if a.size < 64 else 1
+    n_sub = 2**start_level
 
-    def total(level):
-        n_sub = 2**level
-        acc = 0.0 + 0.0j
-        for a, b in segments:
-            x = np.linspace(a, b, n_sub + 1)
-            y = fn(x)
-            h = (b - a) / n_sub
-            acc += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
-        return acc
+    def nodes(j):  # as np.linspace places them: doubling keeps every old node bitwise
+        return j * (width / n_sub)[:, None] + a[:, None]
 
-    prev = total(start_level)
+    x = nodes(np.arange(n_sub + 1))
+    x[:, -1] = pts[1:]
+    y = fn(x)
+    ends, odd, even = y[..., 0] + y[..., -1], y[..., 1::2].sum(-1), y[..., 2:-1:2].sum(-1)
+    prev = out = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
+    done = np.zeros(np.shape(prev), dtype=bool)
     for level in range(start_level + 1, max_level + 1):
-        cur = total(level)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur
+        n_sub *= 2
+        # The old interior nodes all become even ones; only the odd ones are new.
+        even, odd = even + odd, fn(nodes(np.arange(1, n_sub, 2))).sum(-1)
+        cur = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
+        step = np.abs(cur - prev)
+        out = np.where(done, out, cur)
+        done |= step <= tol * np.maximum(1.0, np.abs(cur))
+        if done.all():
+            return out[()]
         prev = cur
     raise QuadratureNotConverged(
         f"integral over [{lo:g}, {hi:g}] did not stabilize below {tol:g} "
-        f"(last refinement step {abs(cur - prev):.3e})"
+        f"(last refinement step {np.max(step[~done]):.3e})"
     )
 
 
@@ -303,15 +304,13 @@ def alpha_finite_window(psi: Wavepacket, phi: Wavepacket, t: float, tau: float) 
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     lo, hi = t - tau / 2.0, t + tau / 2.0
-    num = _refined_integral(
-        lambda s: phi.time_amplitude(s) * np.conj(psi.time_amplitude(s)), lo, hi, (), _QUAD_TOL
-    )
-    d_psi = _refined_integral(
-        lambda s: np.abs(psi.time_amplitude(s)) ** 2, lo, hi, (), _QUAD_TOL
-    ).real
-    d_phi = _refined_integral(
-        lambda s: np.abs(phi.time_amplitude(s)) ** 2, lo, hi, (), _QUAD_TOL
-    ).real
+
+    def integrands(s):
+        f_psi, f_phi = psi.time_amplitude(s), phi.time_amplitude(s)
+        return np.stack([f_phi * np.conj(f_psi), np.abs(f_psi) ** 2, np.abs(f_phi) ** 2])
+
+    num, d_psi, d_phi = _refined_integral(integrands, lo, hi, (), _QUAD_TOL)
+    d_psi, d_phi = d_psi.real, d_phi.real
     if d_psi < _DENOM_FLOOR or d_phi < _DENOM_FLOOR:
         raise EmptyWindow(
             f"window [{lo:g}, {hi:g}] holds no amplitude (factors {d_psi:.3e}, {d_phi:.3e})"

@@ -5,6 +5,7 @@ import pytest
 
 from bellsplit.cli import main
 from bellsplit.smallmat import mat_to_json
+from bellsplit import state as state_mod
 from bellsplit import verify as verify_mod
 
 NO_COINCIDENCE_S = np.array(
@@ -34,6 +35,16 @@ class TestAnalyze:
         assert payload["bell"]["violating"] is True
         assert payload["version"]
         assert set(payload["tolerances"]) == {"construction", "identity", "oracle"}
+
+    def test_mandel_split_computed_once(self, capsys, monkeypatch):
+        calls = []
+        original = state_mod.mandel_dip
+        monkeypatch.setattr(state_mod, "mandel_dip", lambda *a: calls.append(a) or original(*a))
+        code, out, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.6)", "--alpha-sq", "0.5")
+        assert code == 0
+        assert len(calls) == 1
+        mandel = json.loads(out)["mandel"]
+        assert mandel["dip"] == mandel["coincidence_prob"] - mandel["classical_prob"]
 
     def test_identity_preset_reports_separable(self, capsys):
         code, out, _ = run(capsys, "analyze", "--preset", "identity", "--alpha-sq", "0.8")
@@ -261,6 +272,26 @@ class TestVerify:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    def test_unconverged_quadrature_exits_2(self, tmp_path, capsys):
+        # Carriers 1e6 apart beat faster than 2^14 nodes per window resolve.
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "scattering": {"preset": "balanced_pc"},
+                    "alpha": {
+                        "psi": {"gaussian": {"center": 0.0, "width": 1.0}},
+                        "phi": {"gaussian": {"center": 1e6, "width": 1.0}},
+                        "window": {"t": 0.0, "tau": 2.0},
+                    },
+                }
+            )
+        )
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "did not stabilize" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

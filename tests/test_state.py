@@ -242,6 +242,13 @@ class TestReport:
         rep = concurrence_report(g, x, 0.9)
         assert rep.mandel_dip > 0.0  # antibunching raises the coincidence rate
 
+    def test_report_carries_the_classical_probability(self):
+        g, x = pipeline(390_001)
+        for a in (0.0, 0.42, 1.0):
+            rep = concurrence_report(g, x, a)
+            assert rep.classical_prob == mandel_dip(x, a).classical_prob
+            assert rep.mandel_dip == rep.coincidence_prob - rep.classical_prob
+
 
 class TestSerialization:
     def test_state_json_carries_provenance(self):

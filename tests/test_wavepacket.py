@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsplit import wavepacket
 from bellsplit.wavepacket import (
     EmptyWindow,
     GaussianPacket,
     OverlapAlpha,
+    QuadratureNotConverged,
     TabulatedPacket,
     alpha_finite_window,
     alpha_infinite_window,
@@ -23,6 +25,26 @@ FROZEN_GAUSSIAN_OVERLAPS = {
     0.7: 0.6126263941844161,
     1.5: 0.10539922456186433,
 }
+
+
+def loop_simpson_weights(x):
+    """Triple-at-a-time loop that the sliced weights replaced; their oracle."""
+    n = x.size
+    w = np.zeros(n)
+    i = 0
+    while i + 2 <= n - 1:
+        h0 = x[i + 1] - x[i]
+        h1 = x[i + 2] - x[i + 1]
+        s = h0 + h1
+        w[i] += s * (2.0 - h1 / h0) / 6.0
+        w[i + 1] += s**3 / (6.0 * h0 * h1)
+        w[i + 2] += s * (2.0 - h0 / h1) / 6.0
+        i += 2
+    if i == n - 2:
+        h = x[-1] - x[-2]
+        w[-2] += h / 2.0
+        w[-1] += h / 2.0
+    return w
 
 
 def tabulated_gaussian(center=0.0, width=1.0, delay=0.0, n=801, span=8.0):
@@ -47,6 +69,11 @@ class TestSimpsonWeights:
     def test_odd_interval_count_converges(self):
         x = np.linspace(0.0, np.pi, 1002)  # odd number of intervals
         assert np.sum(simpson_weights(x) * np.sin(x)) == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 100, 101])
+    def test_matches_pointwise_loop(self, n):
+        x = np.cumsum(np.random.default_rng(n).uniform(0.01, 1.0, n))
+        assert np.max(np.abs(simpson_weights(x) - loop_simpson_weights(x))) <= 2e-15
 
 
 class TestPackets:
@@ -293,3 +320,149 @@ class TestCsvReader:
         path.write_text("omega,re,im\n0.0,1.0\n")
         with pytest.raises(ValueError):
             read_packet_csv(path)
+
+
+def loop_refined_integral(fn, lo, hi, breaks, tol, max_level=14):
+    """The per-segment Simpson doubling loop the array quadrature replaced.
+
+    Kept verbatim as the oracle: one fn call per segment and level, every
+    node re-evaluated, segments summed in order.
+    """
+    if hi <= lo:
+        return 0.0 + 0.0j
+    pts = [lo] + [float(b) for b in np.asarray(breaks, dtype=float) if lo < b < hi] + [hi]
+    pts = sorted(set(pts))
+    segments = list(zip(pts[:-1], pts[1:]))
+    start_level = 3 if len(segments) < 64 else 1
+
+    def total(level):
+        n_sub = 2**level
+        acc = 0.0 + 0.0j
+        for a, b in segments:
+            x = np.linspace(a, b, n_sub + 1)
+            y = fn(x)
+            h = (b - a) / n_sub
+            acc += h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+        return acc
+
+    prev = total(start_level)
+    for level in range(start_level + 1, max_level + 1):
+        cur = total(level)
+        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise QuadratureNotConverged("oracle did not converge")
+
+
+def loop_alpha(psi, phi, window=None):
+    """alpha from three separate oracle integrals, as before the stacked form."""
+    tol = wavepacket._QUAD_TOL
+    if window is None:
+        lo = max(psi.support()[0], phi.support()[0])
+        hi = min(psi.support()[1], phi.support()[1])
+        breaks = np.concatenate([wavepacket._breakpoints(psi), wavepacket._breakpoints(phi)])
+        num = loop_refined_integral(
+            lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, breaks, tol
+        )
+        norms = [
+            loop_refined_integral(
+                lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), wavepacket._breakpoints(p), tol
+            ).real
+            for p in (psi, phi)
+        ]
+    else:
+        t, tau = window
+        lo, hi = t - tau / 2.0, t + tau / 2.0
+        num = loop_refined_integral(
+            lambda s: phi.time_amplitude(s) * np.conj(psi.time_amplitude(s)), lo, hi, (), tol
+        )
+        norms = [
+            loop_refined_integral(lambda s, p=p: np.abs(p.time_amplitude(s)) ** 2, lo, hi, (), tol).real
+            for p in (psi, phi)
+        ]
+    return OverlapAlpha(complex(num) / np.sqrt(norms[0] * norms[1]))
+
+
+def quadrature_pairs():
+    """Tabulated pairs at the benchmark's sample counts, and Gaussian pairs."""
+    for n in (201, 401, 801):
+        for sigma, delay in ((0.5, 1.1), (1.0, 0.4), (1.7, 0.9)):
+            psi = tabulated_gaussian(width=sigma, n=n)
+            phi = tabulated_gaussian(width=sigma, delay=delay / sigma, n=n)
+            yield f"tab{n}-s{sigma}", psi, phi, (0.5 * delay / sigma, 2.5 / sigma)
+    for sigma, delay in ((0.5, 1.1), (1.3, 0.7)):
+        psi = GaussianPacket(0.2, sigma)
+        phi = GaussianPacket(-0.1, sigma * 1.1, delay / sigma)
+        yield f"gauss-s{sigma}", psi, phi, (0.5 * delay / sigma, 2.5 / sigma)
+
+
+class TestArrayQuadrature:
+    @pytest.mark.parametrize("case", list(quadrature_pairs()), ids=lambda c: c[0])
+    def test_alpha_matches_loop_oracle(self, case):
+        # The loop adds ~800 segment terms in order, which alone moves alpha
+        # by up to ~2e-15; the array sums are closer to an exact sum.
+        _, psi, phi, window = case
+        for new, old in (
+            (alpha_infinite_window(psi, phi), loop_alpha(psi, phi)),
+            (alpha_finite_window(psi, phi, *window), loop_alpha(psi, phi, window)),
+        ):
+            assert abs(new.alpha_sq - old.alpha_sq) <= 2e-15
+            assert abs(new.alpha - old.alpha) <= 2e-15
+
+    def test_scalar_integral_matches_loop_oracle(self):
+        fn = lambda x: np.exp(1j * 3.0 * x) / (1.0 + x**2)  # noqa: E731
+        breaks = np.linspace(-2.0, 3.0, 90)  # enough segments for the shallow start
+        for lo, hi, br in ((-1.0, 2.0, ()), (-2.5, 3.5, breaks)):
+            new = wavepacket._refined_integral(fn, lo, hi, br, 1e-12)
+            assert abs(new - loop_refined_integral(fn, lo, hi, br, 1e-12)) <= 1e-15
+
+    def test_stacked_integrands_stop_at_their_own_level(self):
+        smooth = lambda x: np.exp(-x)  # noqa: E731
+        wiggly = lambda x: np.cos(40.0 * x) * x  # noqa: E731
+        calls = {}
+
+        def counted(name, f):
+            def g(x):
+                calls[name] = calls.get(name, 0) + 1
+                return f(x)
+
+            return g
+
+        for br in ((), (0.5, 1.2)):
+            calls.clear()
+            a = wavepacket._refined_integral(counted("smooth", smooth), 0.0, 2.0, br, 1e-9)
+            b = wavepacket._refined_integral(counted("wiggly", wiggly), 0.0, 2.0, br, 1e-9)
+            assert calls["smooth"] < calls["wiggly"]  # one stops at a shallower level
+            both = wavepacket._refined_integral(
+                lambda x: np.stack([smooth(x), wiggly(x)]), 0.0, 2.0, br, 1e-9
+            )
+            assert both.shape == (2,)
+            assert both[0] == a and both[1] == b
+
+    def test_empty_interval_is_zero(self):
+        assert wavepacket._refined_integral(np.cos, 1.0, 1.0, (), 1e-9) == 0.0
+        stacked = lambda x: np.stack([np.cos(x), np.sin(x)])  # noqa: E731
+        both = wavepacket._refined_integral(stacked, 2.0, 1.0, (), 1e-9)
+        assert both.shape == (2,) and not both.any()
+
+    def test_stalled_doubling_raises(self):
+        with pytest.raises(QuadratureNotConverged, match=r"last refinement step [1-9]"):
+            wavepacket._refined_integral(lambda x: np.cos(1e4 * x), 0.0, 1.0, (), 1e-9, max_level=4)
+        # A stacked call fails when any one integrand stalls.
+        with pytest.raises(QuadratureNotConverged):
+            wavepacket._refined_integral(
+                lambda x: np.stack([np.ones_like(x), np.cos(1e4 * x)]), 0.0, 1.0, (), 1e-9, max_level=6
+            )
+
+    def test_unresolvable_window_raises(self):
+        # Carriers 1e6 apart beat faster than 2^14 nodes per window resolve.
+        psi, phi = GaussianPacket(0.0, 1.0), GaussianPacket(1e6, 1.0)
+        with pytest.raises(QuadratureNotConverged):
+            alpha_finite_window(psi, phi, 0.0, 2.0)
+
+    def test_time_amplitude_keeps_the_input_shape(self):
+        p = tabulated_gaussian(n=201)
+        s = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert p.time_amplitude(s).shape == (3, 4)
+        assert np.all(p.time_amplitude(s) == p.time_amplitude(s.ravel()).reshape(3, 4))
+        assert np.ndim(p.time_amplitude(0.3)) == 0
