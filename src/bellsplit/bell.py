@@ -18,7 +18,7 @@ import numpy as np
 from . import state as state_mod
 from .scattering import GammaPair, HybridMatrix, gammas, gram_invariants, realize_hybrid
 from .smallmat import ConsistencyError, PAULIS, SIGMA_Z, as_cmat, dagger, is_unitary
-from .state import PolarizationState, normalization, require_coincidences
+from .state import PolarizationState, check_alpha_sq, normalization, require_coincidences
 
 __all__ = [
     "AnalyzerSetting",
@@ -31,15 +31,13 @@ __all__ = [
     "emax_and_branch",
     "emax",
     "chsh_bruteforce",
-    "DEFAULT_BRUTEFORCE_BUDGET",
-    "MIN_BRUTEFORCE_BUDGET",
 ]
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
-#: Coarse axis-grid size of the analyzer search (24 azimuthal x 12 polar points).
-DEFAULT_BRUTEFORCE_BUDGET = 288
-MIN_BRUTEFORCE_BUDGET = 32
+#: Polar points of the analyzer search's coarse axis grid; twice as many
+#: azimuthal points make 288 axes, and pi / _N_THETA is the first descent step.
+_N_THETA = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +146,7 @@ def u_eigen_closed(
     Everything enters through the hybrid Gram matrix and |alpha|^2; u1 >= u2
     by the branch choice while u3 carries the interference weight |alpha|^4.
     """
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     a = alpha_sq
     t1, t2, tt, c = gram_invariants(X.gram, statistics)
     norm = require_coincidences((1.0 + a) * t1 + (1.0 - a) * t2)
@@ -204,7 +201,6 @@ def emax(
     alpha_sq: float,
     gamma_pair: GammaPair | None = None,
     statistics: str = "bosonic",
-    budget: int = DEFAULT_BRUTEFORCE_BUDGET,
     tol: float = 1e-8,
 ) -> BellReport:
     """Maximal CHSH value of the postselected state, all three routes.
@@ -229,7 +225,7 @@ def emax(
         raise ConsistencyError(
             f"closed-form and Horodecki maxima disagree: {emax_closed} vs {emax_h}"
         )
-    emax_bf = chsh_bruteforce(rho, budget)
+    emax_bf = chsh_bruteforce(rho, corr)
     if emax_closed > TSIRELSON + 1e-8 or emax_h > TSIRELSON + 1e-8:
         raise ConsistencyError("CHSH maximum exceeds the quantum bound")
     return BellReport(
@@ -242,10 +238,9 @@ def emax(
     )
 
 
-def _sphere_axes(budget: int) -> np.ndarray:
-    n_theta = max(4, int(np.sqrt(budget / 2.0)))
-    n_phi = 2 * n_theta
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+def _sphere_axes() -> np.ndarray:
+    n_phi = 2 * _N_THETA
+    theta = np.pi * (np.arange(_N_THETA) + 0.5) / _N_THETA
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
     return np.stack(
@@ -257,22 +252,19 @@ def _axis(theta: float, phi: float) -> np.ndarray:
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
-def chsh_bruteforce(state: PolarizationState, budget: int = DEFAULT_BRUTEFORCE_BUDGET) -> float:
+def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:
     """Best CHSH value found by direct search over analyzer settings.
 
+    ``corr`` is the correlation tensor R of ``state`` (``correlation_matrix(state).r``).
     Global phases drop out of the measured observables, so each analyzer is
     searched as a Bloch axis. For fixed right-hand axes (b, b') the optimal
-    left-hand pair is analytic, leaving a coarse grid over (b, b') of about
-    ``budget``^2 cells followed by deterministic coordinate descent. The
-    final value re-evaluates the four correlators from coincidence
-    probabilities at the best settings found.
+    left-hand pair is analytic in R, leaving a coarse 288 x 288 grid over
+    (b, b') followed by deterministic coordinate descent. The final value
+    re-evaluates the four correlators from coincidence probabilities at the
+    best settings found.
     """
-    if budget < MIN_BRUTEFORCE_BUDGET:
-        raise ValueError(f"budget must be at least {MIN_BRUTEFORCE_BUDGET}, got {budget}")
-    r = correlation_matrix(state).r
-
-    axes = _sphere_axes(budget)
-    ra = axes @ r.T
+    axes = _sphere_axes()
+    ra = axes @ corr.T
     plus = np.linalg.norm(ra[:, None, :] + ra[None, :, :], axis=-1)
     minus = np.linalg.norm(ra[:, None, :] - ra[None, :, :], axis=-1)
     h = plus + minus
@@ -280,18 +272,17 @@ def chsh_bruteforce(state: PolarizationState, budget: int = DEFAULT_BRUTEFORCE_B
     def objective(p):
         b = _axis(p[0], p[1])
         bp = _axis(p[2], p[3])
-        return np.linalg.norm(r @ (b + bp)) + np.linalg.norm(r @ (b - bp))
+        return np.linalg.norm(corr @ (b + bp)) + np.linalg.norm(corr @ (b - bp))
 
     flat = np.argsort(h.reshape(-1))[::-1][:5]
     best_val, best_p = -np.inf, None
-    n_theta = max(4, int(np.sqrt(budget / 2.0)))
     thetas = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
     phis = np.arctan2(axes[:, 1], axes[:, 0])
     for idx in flat:
         i, j = divmod(int(idx), axes.shape[0])
         p = np.array([thetas[i], phis[i], thetas[j], phis[j]])
         val = objective(p)
-        step = np.pi / n_theta
+        step = np.pi / _N_THETA
         while step > 1e-8:
             moved = False
             for k in range(4):
@@ -308,7 +299,7 @@ def chsh_bruteforce(state: PolarizationState, budget: int = DEFAULT_BRUTEFORCE_B
 
     b = _axis(best_p[0], best_p[1])
     bp = _axis(best_p[2], best_p[3])
-    va, vap = r @ (b + bp), r @ (b - bp)
+    va, vap = corr @ (b + bp), corr @ (b - bp)
     a_axis = va / np.linalg.norm(va) if np.linalg.norm(va) > 1e-14 else np.array([0.0, 0.0, 1.0])
     ap_axis = vap / np.linalg.norm(vap) if np.linalg.norm(vap) > 1e-14 else np.array([0.0, 0.0, 1.0])
     rl = AnalyzerSetting.from_axis(a_axis)

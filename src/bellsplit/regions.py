@@ -18,7 +18,7 @@ import numpy as np
 
 from .scattering import HybridMatrix, ScatteringMatrix, realize_hybrid
 from .smallmat import ConsistencyError
-from .state import ZeroCoincidence, concurrence_closed, require_coincidences
+from .state import ZeroCoincidence, check_alpha_sq, concurrence_closed, require_coincidences
 from .bell import emax_and_branch, u_eigen_closed
 
 __all__ = [
@@ -50,8 +50,7 @@ class BalancedPoint:
     hv_sq: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha_sq <= 1.0:
-            raise ValueError(f"alpha_sq must lie in [0, 1], got {self.alpha_sq}")
+        check_alpha_sq(self.alpha_sq)
         if not 0.0 <= self.hv_sq <= 0.25 + 1e-12:
             raise ValueError(f"hv_sq must lie in [0, 1/4], got {self.hv_sq}")
 
@@ -66,15 +65,13 @@ class RegionReport:
 
 def f_boundary(alpha_sq: float) -> float:
     """Branch crossover: below this hv_sq the interference eigenvalue is active."""
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     return float(alpha_sq / (2.0 * (1.0 + alpha_sq)))
 
 
 def g_boundary(alpha_sq: float) -> float:
     """Contour where the maximal CHSH value equals the classical bound 2."""
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     a = alpha_sq
     return float(0.25 * (1.0 - a + a**2 - (1.0 - a) * np.sqrt(1.0 + a**2)))
 

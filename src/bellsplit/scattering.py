@@ -27,6 +27,7 @@ from .smallmat import (
     herm_eigen,
     max_abs,
     per2,
+    sqrt_psd,
     svd2,
     tilde2,
 )
@@ -349,8 +350,9 @@ def realize_hybrid(gram, tol: float = DEFAULT_TOLERANCES.identity) -> Scattering
     Takes the Hermitian square root of the target Gram matrix as the hybrid
     block, fills the complementary rows with the square root of (1 - gram) so
     the two embedded columns are orthonormal, and completes the remaining two
-    columns by Gram-Schmidt. The completion is not unique; every derived
-    entanglement quantity depends only on the Gram matrix.
+    columns from a Householder QR of [columns | 1]. The completion is not
+    unique; every derived entanglement quantity depends only on the Gram
+    matrix.
     """
     g = as_cmat(gram, 2)
     if max_abs(g - dagger(g)) > tol:
@@ -358,26 +360,8 @@ def realize_hybrid(gram, tol: float = DEFAULT_TOLERANCES.identity) -> Scattering
     eig = herm_eigen(g)
     if eig.eigenvalues[0] > 1.0 + tol or eig.eigenvalues[1] < -tol:
         raise ValueError("target Gram matrix must have spectrum inside [0, 1]")
-
-    def _sqrt_psd(m):
-        e = herm_eigen(m)
-        return e.eigenvectors @ np.diag(np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ dagger(e.eigenvectors)
-
-    x = _sqrt_psd(g)
-    y = _sqrt_psd(np.eye(2) - g)
-    col_r_h = np.concatenate([x[:, 0], y[:, 0]])
-    col_tp_v = np.concatenate([x[:, 1], y[:, 1]])
-    basis = [col_r_h, col_tp_v]
-    for e in np.eye(4, dtype=complex):
-        w = e - sum(b * np.vdot(b, e) for b in basis)
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            basis.append(w / norm)
-        if len(basis) == 4:
-            break
-    s = np.zeros((4, 4), dtype=complex)
-    s[:, 0] = basis[0]
-    s[:, 3] = basis[1]
-    s[:, 1] = basis[2]
-    s[:, 2] = basis[3]
-    return make_scattering(s)
+    cols = np.vstack([sqrt_psd(g), sqrt_psd(np.eye(2) - g)])
+    # The last two Householder columns span the orthogonal complement of the
+    # embedded pair to machine precision, however close g is to singular.
+    q, _ = np.linalg.qr(np.hstack([cols, np.eye(4)]))
+    return make_scattering(np.column_stack([cols[:, 0], q[:, 2], q[:, 3], cols[:, 1]]))

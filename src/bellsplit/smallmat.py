@@ -32,6 +32,7 @@ __all__ = [
     "haar_unitary",
     "HermEigen",
     "herm_eigen",
+    "sqrt_psd",
     "svd2",
     "mat_to_json",
     "mat_from_json",
@@ -187,6 +188,15 @@ def herm_eigen(a, tol: float | None = None) -> HermEigen:
         raise NotHermitian(f"matrix is not Hermitian: defect {defect:.3e} > {limit:.3e}")
     evals, evecs = np.linalg.eigh((m + dagger(m)) / 2)
     return HermEigen(evals[::-1].copy(), evecs[:, ::-1].copy())
+
+
+def sqrt_psd(a) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.
+
+    Eigenvalues that rounding pushed below zero are clipped to 0 first.
+    """
+    e = herm_eigen(a)
+    return e.eigenvectors @ np.diag(np.sqrt(np.clip(e.eigenvalues, 0.0, None))) @ dagger(e.eigenvectors)
 
 
 def svd2(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

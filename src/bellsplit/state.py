@@ -14,10 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .scattering import GammaPair, HybridMatrix, gram_invariants
-from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, tilde2
+from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd, tilde2
 
 __all__ = [
     "ZeroCoincidence",
+    "check_alpha_sq",
     "PolarizationState",
     "ConcurrenceReport",
     "MandelDip",
@@ -50,6 +51,12 @@ def require_coincidences(norm: float) -> float:
     if norm <= _N_FLOOR:
         raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
     return norm
+
+
+def check_alpha_sq(alpha_sq: float) -> None:
+    """Reject a temporal overlap |alpha|^2 outside [0, 1] (NaN included)."""
+    if not 0.0 <= alpha_sq <= 1.0:
+        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
 
 
 def vec(gamma) -> np.ndarray:
@@ -106,8 +113,7 @@ def normalization(g: GammaPair, alpha_sq: float) -> float:
 
 def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     """Build the postselected polarization density matrix from (gamma1, gamma2, |alpha|^2)."""
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     norm = require_coincidences(normalization(g, alpha_sq))
     v1, v2 = vec(g.gamma1), vec(g.gamma2)
     rho = (
@@ -129,8 +135,7 @@ def coincidence_denominator(X: HybridMatrix, alpha_sq: float, statistics: str = 
 
 def concurrence_closed(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
     """Concurrence in closed form from the hybrid Gram matrix and |alpha|^2."""
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
+    check_alpha_sq(alpha_sq)
     t1, t2, tt, _ = gram_invariants(X.gram, statistics)
     norm = require_coincidences((1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2)
     return float(min(max(2.0 * alpha_sq * tt / norm, 0.0), 1.0))
@@ -151,13 +156,7 @@ def concurrence_wootters(state: PolarizationState) -> float:
     of sqrt(rho) (sy x sy) sqrt(rho)^T, a numerically benign Hermitian-route
     equivalent of the non-Hermitian product.
     """
-    rho = state.rho
-    eig = herm_eigen(rho)
-    sqrt_rho = (
-        eig.eigenvectors
-        @ np.diag(np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
-        @ dagger(eig.eigenvectors)
-    )
+    sqrt_rho = sqrt_psd(state.rho)
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     a = sqrt_rho @ yy @ sqrt_rho.T
     s = np.linalg.svd(a, compute_uv=False)

@@ -100,7 +100,8 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
                 abs(md.coincidence_prob - state.normalization(g, a) / 2.0)
             )
 
-            u_closed = np.sort(bell.u_eigen_closed(x, a))
+            u = bell.u_eigen_closed(x, a)
+            u_closed = np.sort(u)
             corr = bell.correlation_matrix(rho).r
             u_num = np.sort(np.linalg.eigvalsh(corr.T @ corr))
             suites["bell_spectrum"].absorb(np.abs(u_closed - u_num).max())
@@ -109,15 +110,15 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
                 u_rp = np.sort(np.asarray(rp.eigenvalues_squared()))
                 suites["bell_spectrum"].absorb(np.abs(u_closed - u_rp).max())
 
-            e_closed = 2.0 * np.sqrt(u_closed[2] + u_closed[1])
+            e_closed, _ = bell.emax_and_branch(u)
             e_h = 2.0 * np.sqrt(max(0.0, u_num[2] + u_num[1]))
             suites["horodecki_vs_closed"].absorb(abs(e_closed - e_h))
             if a == 1.0:
                 suites["gisin_pure"].absorb(abs(e_closed - 2.0 * np.sqrt(1.0 + c_closed**2)))
 
         if bruteforce:
-            # The ladder ends on the random alpha, so rho and e_h are its state and Horodecki value.
-            e_bf = bell.chsh_bruteforce(rho)
+            # The ladder ends on the random alpha: rho, corr and e_h belong to it.
+            e_bf = bell.chsh_bruteforce(rho, corr)
             suites["bruteforce_gap"].absorb(max(0.0, e_h - e_bf))
             suites["bruteforce_excess"].absorb(max(0.0, e_bf - e_h))
 

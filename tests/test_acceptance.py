@@ -98,7 +98,7 @@ def test_criterion_3_bruteforce_vs_horodecki():
         r = bell.correlation_matrix(rho).r
         w = np.sort(np.linalg.eigvalsh(r.T @ r))
         e_h = 2.0 * np.sqrt(w[2] + w[1])
-        e_bf = bell.chsh_bruteforce(rho)
+        e_bf = bell.chsh_bruteforce(rho, r)
         worst_gap = max(worst_gap, e_h - e_bf)
         worst_excess = max(worst_excess, e_bf - e_h)
     elapsed = time.monotonic() - start

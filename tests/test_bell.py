@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from bellsplit import bell
 from bellsplit.bell import (
     AnalyzerSetting,
-    MIN_BRUTEFORCE_BUDGET,
     TSIRELSON,
     chsh_bruteforce,
     coincidence_probs,
@@ -220,23 +220,36 @@ class TestEmax:
         assert with_g.emax_closed == without_g.emax_closed
         assert abs(with_g.emax_horodecki - without_g.emax_horodecki) <= 1e-8
 
+    def test_correlation_tensor_computed_once(self, monkeypatch):
+        # The oracle reuses the tensor of the Horodecki route.
+        calls = []
+        original = bell.correlation_matrix
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(bell, "correlation_matrix", counting)
+        x, g, _ = pipeline(495_500, 0.6)
+        emax(x, 0.6, gamma_pair=g)
+        assert len(calls) == 1
+
 
 class TestBruteforce:
     def test_bell_state_reaches_tsirelson(self):
-        value = chsh_bruteforce(PolarizationState.from_matrix(BELL_PHI_PLUS))
+        state = PolarizationState.from_matrix(BELL_PHI_PLUS)
+        value = chsh_bruteforce(state, correlation_matrix(state).r)
         assert value == pytest.approx(TSIRELSON, abs=1e-4)
 
     def test_product_state_reaches_classical_bound(self):
-        value = chsh_bruteforce(PolarizationState.from_matrix(PRODUCT_HH))
+        state = PolarizationState.from_matrix(PRODUCT_HH)
+        value = chsh_bruteforce(state, correlation_matrix(state).r)
         assert value == pytest.approx(2.0, abs=1e-4)
-
-    def test_budget_floor(self):
-        with pytest.raises(ValueError):
-            chsh_bruteforce(PolarizationState.from_matrix(PRODUCT_HH), MIN_BRUTEFORCE_BUDGET - 1)
 
     def test_deterministic(self):
         _, _, rho = pipeline(496_000, 0.45)
-        assert chsh_bruteforce(rho) == chsh_bruteforce(rho)
+        r = correlation_matrix(rho).r
+        assert chsh_bruteforce(rho, r) == chsh_bruteforce(rho, r)
 
     def test_local_unitary_invariance(self):
         _, _, rho = pipeline(497_000, 0.66)

@@ -307,3 +307,12 @@ class TestRealizeHybrid:
     def test_rejects_bad_spectrum(self):
         with pytest.raises(ValueError):
             realize_hybrid(np.diag([1.5, 0.2]))
+
+    def test_spectrum_near_zero_and_one(self):
+        # hv_sq = 1/4 - d puts the Gram spectrum at (1 - d', d') with d' ~ d.
+        # Single-pass Gram-Schmidt completion raised NotUnitary at d = 1e-12.
+        for d in np.logspace(-16, -1, 60):
+            h = np.sqrt(0.25 - d)
+            g = np.array([[0.5, h], [h, 0.5]], complex)
+            sm = realize_hybrid(g)
+            assert max_abs(hybrid(sm).gram - g) <= 1e-14, d

@@ -23,6 +23,7 @@ from bellsplit.smallmat import (
     max_abs,
     pauli,
     per2,
+    sqrt_psd,
     svd2,
 )
 from conftest import haar_ensemble
@@ -143,6 +144,23 @@ class TestHermEigen:
             ev_a = herm_eigen(a).eigenvalues
             ev_b = herm_eigen(q @ a @ dagger(q)).eigenvalues
             assert np.abs(ev_a - ev_b).max() <= 1e-10 * max(1.0, max_abs(a))
+
+
+class TestSqrtPsd:
+    def test_squares_back(self, rng):
+        for n in (2, 4):
+            for _ in range(20):
+                a = random_cmat(rng, n)
+                m = a @ dagger(a)
+                r = sqrt_psd(m)
+                assert max_abs(r - dagger(r)) <= 1e-14
+                assert max_abs(r @ r - m) <= 1e-12 * max(1.0, max_abs(m))
+                assert herm_eigen(r).eigenvalues[-1] >= -1e-12
+
+    def test_clips_negative_rounding_to_zero(self):
+        r = sqrt_psd(np.diag([0.25, -1e-17]))
+        assert np.all(np.isfinite(r))
+        assert max_abs(r - np.diag([0.5, 0.0])) == 0.0
 
 
 class TestSvd2:

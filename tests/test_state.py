@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from bellsplit.bell import u_eigen_closed
+from bellsplit.regions import BalancedPoint, f_boundary, g_boundary
 from bellsplit.scattering import gammas, hybrid, make_scattering, preset
 from bellsplit.smallmat import SIGMA_Y, dagger, haar_unitary, herm_eigen, max_abs
 from bellsplit.state import (
     PolarizationState,
     ZeroCoincidence,
     build_rho,
+    check_alpha_sq,
     coincidence_denominator,
     concurrence_closed,
     concurrence_gamma,
@@ -36,6 +39,28 @@ BELL_PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
 def pipeline(seed):
     sm = make_scattering(haar_unitary(4, seed))
     return gammas(sm), hybrid(sm)
+
+
+_BALANCED_PC = preset("balanced_pc")
+
+ALPHA_SQ_ENTRY_POINTS = {
+    "build_rho": lambda a: build_rho(gammas(_BALANCED_PC), a),
+    "concurrence_closed": lambda a: concurrence_closed(hybrid(_BALANCED_PC), a),
+    "u_eigen_closed": lambda a: u_eigen_closed(hybrid(_BALANCED_PC), a),
+    "f_boundary": f_boundary,
+    "g_boundary": g_boundary,
+    "BalancedPoint": lambda a: BalancedPoint(a, 0.1),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.2, float("nan")])
+@pytest.mark.parametrize("entry", ALPHA_SQ_ENTRY_POINTS.values(), ids=ALPHA_SQ_ENTRY_POINTS.keys())
+def test_alpha_sq_domain_is_one_rule(entry, bad):
+    with pytest.raises(ValueError) as home:
+        check_alpha_sq(bad)
+    with pytest.raises(ValueError) as caught:
+        entry(bad)
+    assert str(caught.value) == str(home.value) == f"alpha_sq must lie in [0, 1], got {bad}"
 
 
 class TestBuildRho:
