@@ -1,10 +1,11 @@
 """Bell-CHSH correlators, the correlation tensor and the maximal violation.
 
-Two independent routes are kept side by side throughout: closed-form
+Independent routes are kept side by side throughout: closed-form
 eigenvalues of the correlation tensor square versus its numerically
-diagonalized spectrum (the Horodecki criterion), and a derivative-free
-analyzer-angle search as the optimizer oracle. Their agreement is the
-standing consistency test of the whole pipeline.
+diagonalized spectrum (the Horodecki criterion), and an oracle that builds
+explicit analyzer settings from the plane-normal reduction and measures CHSH
+from coincidence probabilities. Their agreement is the standing consistency
+test of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ __all__ = [
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
-#: Polar points of the analyzer search's coarse axis grid; twice as many
-#: azimuthal points make 288 axes, and pi / _N_THETA is the first descent step.
-_N_THETA = 12
+#: Squarings of adj(M + I) in the CHSH oracle: with l2 >= l3 the two smallest
+#: eigenvalues of M, k squarings shrink the rest by ((1 + l3) / (1 + l2)) ** (2 ** k).
+_SQUARINGS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,67 +239,30 @@ def emax(
     )
 
 
-def _sphere_axes() -> np.ndarray:
-    n_phi = 2 * _N_THETA
-    theta = np.pi * (np.arange(_N_THETA) + 0.5) / _N_THETA
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    return np.stack(
-        [np.sin(tg) * np.cos(pg), np.sin(tg) * np.sin(pg), np.cos(tg)], axis=-1
-    ).reshape(-1, 3)
-
-
-def _axis(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-
-
 def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:
-    """Best CHSH value found by direct search over analyzer settings.
+    """CHSH value measured at analyzer settings built from the plane-normal reduction.
 
     ``corr`` is the correlation tensor R of ``state`` (``correlation_matrix(state).r``).
-    Global phases drop out of the measured observables, so each analyzer is
-    searched as a Bloch axis. For fixed right-hand axes (b, b') the optimal
-    left-hand pair is analytic in R, leaving a coarse 288 x 288 grid over
-    (b, b') followed by deterministic coordinate descent. The final value
-    re-evaluates the four correlators from coincidence probabilities at the
-    best settings found.
+    For right-hand axes b, b' spanning a plane with unit normal n, the best
+    left-hand axes are R(b + b') and R(b - b') normalized, and the best CHSH
+    value over that plane is 2 sqrt(Tr M - n^T M n) with M = R^T R. The normal
+    is therefore M's eigenvector of smallest eigenvalue, taken as the dominant
+    eigenvector of adj(M + I) by normalized repeated squaring: no solve and no
+    eigensolver, and where the two smallest eigenvalues nearly tie, the value
+    no longer depends on which normal is reached. The returned value is
+    re-measured from coincidence probabilities by four correlators at the
+    settings so built, so it stays a physical lower bound on E_max.
     """
-    axes = _sphere_axes()
-    ra = axes @ corr.T
-    plus = np.linalg.norm(ra[:, None, :] + ra[None, :, :], axis=-1)
-    minus = np.linalg.norm(ra[:, None, :] - ra[None, :, :], axis=-1)
-    h = plus + minus
-
-    def objective(p):
-        b = _axis(p[0], p[1])
-        bp = _axis(p[2], p[3])
-        return np.linalg.norm(corr @ (b + bp)) + np.linalg.norm(corr @ (b - bp))
-
-    flat = np.argsort(h.reshape(-1))[::-1][:5]
-    best_val, best_p = -np.inf, None
-    thetas = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
-    phis = np.arctan2(axes[:, 1], axes[:, 0])
-    for idx in flat:
-        i, j = divmod(int(idx), axes.shape[0])
-        p = np.array([thetas[i], phis[i], thetas[j], phis[j]])
-        val = objective(p)
-        step = np.pi / _N_THETA
-        while step > 1e-8:
-            moved = False
-            for k in range(4):
-                for sign in (1.0, -1.0):
-                    q = p.copy()
-                    q[k] += sign * step
-                    v = objective(q)
-                    if v > val + 1e-15:
-                        val, p, moved = v, q, True
-            if not moved:
-                step /= 2.0
-        if val > best_val:
-            best_val, best_p = val, p
-
-    b = _axis(best_p[0], best_p[1])
-    bp = _axis(best_p[2], best_p[3])
+    m = corr.T @ corr + np.eye(3)
+    p = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])  # adj(M + I), positive definite
+    for _ in range(_SQUARINGS):
+        p = p @ p
+        p /= p.max()
+    n = p[np.argmax(np.linalg.norm(p, axis=1))]
+    _, c, d = np.linalg.qr(n[:, None], mode="complete")[0].T  # an orthonormal basis of the plane normal to n
+    t = math.atan2(np.linalg.norm(corr @ d), np.linalg.norm(corr @ c))
+    b = math.cos(t) * c + math.sin(t) * d
+    bp = math.cos(t) * c - math.sin(t) * d
     va, vap = corr @ (b + bp), corr @ (b - bp)
     a_axis = va / np.linalg.norm(va) if np.linalg.norm(va) > 1e-14 else np.array([0.0, 0.0, 1.0])
     ap_axis = vap / np.linalg.norm(vap) if np.linalg.norm(vap) > 1e-14 else np.array([0.0, 0.0, 1.0])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -37,8 +38,25 @@ def _tolerances_from_env() -> Tolerances:
         raise ConfigError(str(exc)) from None
 
 
+def _number(value, field: str) -> float:
+    """A config value as a finite float, or ConfigError naming ``field``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    return number
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 def _parse_preset(text: str, theta: float | None = None) -> scattering.ScatteringMatrix:
-    name = text.strip()
+    name = str(text).strip()
     if name.endswith(")") and "(" in name:
         base, arg = name[:-1].split("(", 1)
         try:
@@ -56,7 +74,8 @@ def _load_scattering(cfg: dict) -> tuple[scattering.ScatteringMatrix, str]:
     if "preset" in cfg and "file" in cfg:
         raise ConfigError("scattering config must name a preset or a file, not both")
     if "preset" in cfg:
-        return _parse_preset(cfg["preset"], cfg.get("theta")), f"preset:{cfg['preset']}"
+        theta = _number(cfg["theta"], "scattering 'theta'") if "theta" in cfg else None
+        return _parse_preset(cfg["preset"], theta), f"preset:{cfg['preset']}"
     if "file" in cfg:
         path = cfg["file"]
         if not os.path.exists(path):
@@ -99,24 +118,26 @@ def _resolve_alpha(cfg: dict) -> tuple[wavepacket.OverlapAlpha, str]:
         raise ConfigError("config must give exactly one alpha source: alpha_sq or wavepackets+window")
     if has_override:
         try:
-            return wavepacket.OverlapAlpha.from_alpha_sq(float(cfg["alpha_sq"])), "override"
+            return wavepacket.OverlapAlpha.from_alpha_sq(_number(cfg["alpha_sq"], "'alpha_sq'")), "override"
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if not ("psi" in cfg and "phi" in cfg):
         raise ConfigError("wavepacket alpha source needs both 'psi' and 'phi' packets")
-    psi = _load_packet(cfg["psi"])
-    phi = _load_packet(cfg["phi"])
+    psi = _load_packet(_object(cfg["psi"], "'psi'"))
+    phi = _load_packet(_object(cfg["phi"], "'phi'"))
     window = cfg.get("window", "infinite")
     if window == "infinite":
         return wavepacket.alpha_infinite_window(psi, phi), "wavepackets"
     try:
-        t, tau = float(window["t"]), float(window["tau"])
-    except (KeyError, TypeError, ValueError) as exc:
+        t, tau = _number(window["t"], "window 't'"), _number(window["tau"], "window 'tau'")
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"window must be 'infinite' or an object with 't' and 'tau': {exc}") from None
     try:
         return wavepacket.alpha_finite_window(psi, phi, t, tau), "wavepackets"
     except wavepacket.EmptyWindow as exc:
         raise ZeroCoincidence(str(exc)) from None
+    except ValueError as exc:  # tau <= 0
+        raise ConfigError(f"window 'tau': {exc}") from None
 
 
 def _build_config(args) -> dict:
@@ -136,7 +157,7 @@ def _build_config(args) -> dict:
     if args.alpha_sq is not None:
         cfg["alpha"] = {"alpha_sq": args.alpha_sq}
     if args.tau is not None:
-        alpha_cfg = cfg.get("alpha", {})
+        alpha_cfg = _object(cfg.get("alpha", {}), "'alpha'")
         if "alpha_sq" in alpha_cfg:
             raise ConfigError("--tau conflicts with a direct alpha_sq override")
         window = alpha_cfg.get("window")
@@ -163,8 +184,8 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    sm, scattering_source = _load_scattering(cfg["scattering"])
-    alpha, alpha_source = _resolve_alpha(cfg["alpha"])
+    sm, scattering_source = _load_scattering(_object(cfg["scattering"], "'scattering'"))
+    alpha, alpha_source = _resolve_alpha(_object(cfg["alpha"], "'alpha'"))
 
     g = scattering.gammas(sm, statistics)
     x = scattering.hybrid(sm)

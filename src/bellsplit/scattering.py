@@ -284,12 +284,19 @@ def polar_decompose_s(sm: ScatteringMatrix, tol: float = DEFAULT_TOLERANCES.iden
             f"transmission eigenvalues {tr[0]:.6f}, {tr[1]:.6f} touch the boundary of (0, 1)"
         )
     k_in = dagger(eig.eigenvectors)
-    inv_sq_t = np.diag(1.0 / np.sqrt(tr))
-    inv_sq_c = np.diag(1.0 / np.sqrt(1.0 - tr))
-    k_out = sm.r @ dagger(k_in) @ inv_sq_c
-    l_out = -1j * t @ dagger(k_in) @ inv_sq_t
-    l_in = -1j * inv_sq_t @ dagger(k_out) @ sm.t_prime
+    # r k_in† = k_out sqrt(1 - T), t k_in† = i l_out sqrt(T) and k_out† t' =
+    # i sqrt(T) l_in, so each side factor is the unitary polar factor of its
+    # product. Dividing by sqrt(1 - T) or sqrt(T) instead loses unitarity as
+    # rounding / (1 - T_H) or / T_V near the boundary.
+    k_out = _unitary_factor(sm.r @ dagger(k_in))
+    l_out = _unitary_factor(-1j * t @ dagger(k_in))
+    l_in = _unitary_factor(-1j * dagger(k_out) @ sm.t_prime)
     return PolarFactors(k_out, l_out, k_in, l_in, tr)
+
+
+def _unitary_factor(a: np.ndarray) -> np.ndarray:
+    w, _, vh = np.linalg.svd(a)
+    return w @ vh
 
 
 def assemble_polar(k_out, l_out, k_in, l_in, transmission) -> ScatteringMatrix:

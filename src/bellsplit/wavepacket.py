@@ -17,6 +17,7 @@ enter the results, so natural units (width = 1) work unchanged.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,11 @@ class GaussianPacket:
     delay: float = 0.0
 
     def __post_init__(self):
-        if not (self.width > 0.0):
-            raise ValueError("width must be positive")
+        # The normalization (2 pi width^2)^(-1/4) needs width^2 in (0, inf).
+        if not (self.width > 0.0 and 0.0 < self.width * self.width < math.inf):
+            raise ValueError(f"width must be positive with a finite nonzero square, got {self.width}")
+        if not (math.isfinite(self.center) and math.isfinite(self.delay)):
+            raise ValueError("center and delay must be finite")
 
     def support(self) -> tuple[float, float]:
         # +-8 sigma: the neglected tail of the intensity is below 1e-14.

@@ -214,6 +214,97 @@ class TestAnalyze:
         assert code == 2
 
 
+def gaussian_pair(width, delay, window):
+    packet = {"center": 0.0, "width": width}
+    return {
+        "psi": {"gaussian": dict(packet, delay=0.0)},
+        "phi": {"gaussian": dict(packet, delay=delay)},
+        "window": window,
+    }
+
+
+class TestRidgeOracle:
+    # Inputs from the analyze benchmark on the u2 ~ u3 ridge, where the former
+    # grid-search oracle stopped 5.7e-4 to 1.3e-3 below the Horodecki value.
+    @pytest.mark.parametrize(
+        "theta, width, delay, window",
+        [
+            (0.5373154235858433, 1.0635631724013423, 1.3108963258165072,
+             {"t": 0.6554481629082536, "tau": 3.081245129162698}),
+            (0.545332243320477, 1.0313578966031731, 1.3182112492074984, "infinite"),
+            (0.4483639999510366, 1.4879550736337388, 1.2126101974516312,
+             {"t": 0.6063050987258156, "tau": 1.3347020330709252}),
+        ],
+        ids=["finite-window-1", "infinite-window", "finite-window-2"],
+    )
+    def test_bruteforce_reaches_horodecki(self, tmp_path, capsys, theta, width, delay, window):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "scattering": {"preset": "balanced_mixing", "theta": theta},
+                    "alpha": gaussian_pair(width, delay, window),
+                    "statistics": "bosonic",
+                }
+            )
+        )
+        code, out, _ = run(capsys, "analyze", "--config", str(config))
+        assert code == 0
+        b = json.loads(out)["bell"]
+        assert b["emax_horodecki"] - b["emax_bruteforce"] <= 1e-4
+        assert b["emax_bruteforce"] - b["emax_horodecki"] <= 1e-6
+
+
+class TestMalformedConfig:
+    # Each of these ended in a traceback; each must now exit 2 naming its field.
+    @pytest.mark.parametrize(
+        "scattering, alpha, field",
+        [
+            ({"preset": "balanced_pc"}, gaussian_pair(1.0, 1.0, {"t": 0.5, "tau": 0.0}), "tau"),
+            ({"preset": "balanced_pc"}, gaussian_pair(1.0, 1.0, {"t": 0.5, "tau": -1.0}), "tau"),
+            ({"preset": "balanced_mixing", "theta": "abc"}, {"alpha_sq": 0.5}, "theta"),
+            ({"preset": "balanced_pc"}, gaussian_pair(1e-300, 1.0, "infinite"), "width"),
+            ({"preset": "balanced_pc"}, 0.5, "alpha"),
+            ({"preset": "balanced_pc"}, gaussian_pair(1e200, 0.0, "infinite"), "width"),
+            ({"preset": "balanced_pc"}, {"alpha_sq": [0.5]}, "alpha_sq"),
+            ({"preset": "balanced_mixing", "theta": [1, 2]}, {"alpha_sq": 0.5}, "theta"),
+            (5, {"alpha_sq": 0.5}, "scattering"),
+            ({"preset": "balanced_pc"}, dict(gaussian_pair(1.0, 1.0, "infinite"), psi=0.5), "psi"),
+            # tau = inf exited 3 ("window [-inf, inf] holds no amplitude"), and an
+            # infinite center exited 0 with alpha = 0.
+            ({"preset": "balanced_pc"}, gaussian_pair(1.0, 1.0, {"t": 0.5, "tau": np.inf}), "tau"),
+            ({"preset": "balanced_pc"}, dict(gaussian_pair(1.0, 1.0, "infinite"),
+                                             psi={"gaussian": {"center": np.inf, "width": 1.0}}), "center"),
+        ],
+        ids=[
+            "tau-zero", "tau-negative", "theta-string", "width-underflow", "alpha-number",
+            "width-overflow", "alpha_sq-list", "theta-list", "scattering-number", "psi-number",
+            "tau-infinite", "center-infinite",
+        ],
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, scattering, alpha, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": scattering, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
+    def test_alpha_number_with_tau_flag(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": 0.5}))
+        code, _, err = run(capsys, "analyze", "--config", str(config), "--tau", "1.0")
+        assert code == 2
+        assert "'alpha'" in err
+
+    def test_non_string_preset(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": {"preset": 5}, "alpha": {"alpha_sq": 0.5}}))
+        code, _, err = run(capsys, "analyze", "--config", str(config))
+        assert code == 2
+        assert "unknown preset '5'" in err
+
+
 class TestScan:
     def test_small_grid_shape(self, capsys):
         code, out, _ = run(capsys, "scan", "--grid", "10x10")

@@ -245,6 +245,25 @@ class TestPolarDecomposition:
             assert max_abs(rebuilt.s - sm.s) <= 1e-10
         assert done > 250  # degeneracy has measure zero
 
+    @pytest.mark.parametrize("d", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_round_trip_near_the_boundary(self, d):
+        # Dividing by sqrt(1 - T_H) or sqrt(T_V) lost unitarity as rounding / d.
+        sides = [haar_unitary(2, 5), haar_unitary(2, 6), haar_unitary(2, 7), haar_unitary(2, 8)]
+        for tr in ((1.0 - d, 0.3), (0.7, d)):
+            sm = assemble_polar(*sides, tr)
+            factors = polar_decompose_s(sm)
+            for f in factors[:4]:
+                assert is_unitary(f, 1e-12)
+            assert max_abs(assemble_polar(*factors).s - sm.s) <= 1e-10
+
+    def test_haar_instance_with_transmission_near_one(self):
+        # 1 - T_H = 8.3e-7: k_out and l_in missed unitarity by 1.6e-10 and
+        # 1.2e-10, and assemble_polar raised NotUnitary inside a verify campaign.
+        sm = make_scattering(haar_unitary(4, 1285630259))
+        factors = polar_decompose_s(sm)
+        assert 1.0 - factors.transmission[0] < 1e-6
+        assert max_abs(assemble_polar(*factors).s - sm.s) <= 1e-10
+
     def test_assemble_validates_transmission(self):
         with pytest.raises(ValueError):
             assemble_polar(np.eye(2), np.eye(2), np.eye(2), np.eye(2), (1.0, 0.3))

@@ -81,6 +81,17 @@ class TestPackets:
         with pytest.raises(ValueError):
             GaussianPacket(0.0, -1.0)
 
+    @pytest.mark.parametrize("width", [1e-300, 1e200, float("inf"), float("nan")])
+    def test_gaussian_width_square_must_be_finite_and_nonzero(self, width):
+        # 1e-300 squared underflows to 0, 1e200 overflows: the normalization breaks.
+        with pytest.raises(ValueError, match="width"):
+            GaussianPacket(0.0, width)
+
+    @pytest.mark.parametrize("center, delay", [(float("inf"), 0.0), (0.0, float("nan"))])
+    def test_gaussian_center_and_delay_must_be_finite(self, center, delay):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianPacket(center, 1.0, delay)
+
     def test_gaussian_unit_norm(self):
         p = GaussianPacket(2.0, 0.5, delay=1.0)
         grid = np.linspace(*p.support(), 4001)
