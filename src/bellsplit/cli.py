@@ -90,9 +90,9 @@ def _load_scattering(cfg: dict) -> tuple[scattering.ScatteringMatrix, str]:
     raise ConfigError("scattering config needs a 'preset' or 'file' entry")
 
 
-def _load_packet(cfg: dict) -> wavepacket.Wavepacket:
+def _load_packet(cfg: dict, field: str) -> wavepacket.Wavepacket:
     if "gaussian" in cfg:
-        g = cfg["gaussian"]
+        g = _object(cfg["gaussian"], f"{field} 'gaussian'")
         try:
             return wavepacket.GaussianPacket(
                 center=float(g["center"]), width=float(g["width"]), delay=float(g.get("delay", 0.0))
@@ -123,15 +123,14 @@ def _resolve_alpha(cfg: dict) -> tuple[wavepacket.OverlapAlpha, str]:
             raise ConfigError(str(exc)) from None
     if not ("psi" in cfg and "phi" in cfg):
         raise ConfigError("wavepacket alpha source needs both 'psi' and 'phi' packets")
-    psi = _load_packet(_object(cfg["psi"], "'psi'"))
-    phi = _load_packet(_object(cfg["phi"], "'phi'"))
+    psi = _load_packet(_object(cfg["psi"], "'psi'"), "'psi'")
+    phi = _load_packet(_object(cfg["phi"], "'phi'"), "'phi'")
     window = cfg.get("window", "infinite")
     if window == "infinite":
         return wavepacket.alpha_infinite_window(psi, phi), "wavepackets"
-    try:
-        t, tau = _number(window["t"], "window 't'"), _number(window["tau"], "window 'tau'")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"window must be 'infinite' or an object with 't' and 'tau': {exc}") from None
+    if not (isinstance(window, dict) and "t" in window and "tau" in window):
+        raise ConfigError(f"window must be 'infinite' or an object with 't' and 'tau', got {window!r}")
+    t, tau = _number(window["t"], "window 't'"), _number(window["tau"], "window 'tau'")
     try:
         return wavepacket.alpha_finite_window(psi, phi, t, tau), "wavepackets"
     except wavepacket.EmptyWindow as exc:

@@ -9,7 +9,8 @@ transforms
     packet~(t) = integral dw packet(w) exp(i w t),
 
 which is what this module evaluates: analytically for Gaussian packets,
-by Simpson quadrature on the stored grid for tabulated ones. Everything
+as a sum over the stored grid for tabulated ones; a fixed Gauss-Legendre
+rule integrates them over the window. Everything
 dimensionful is SI (rad/s and seconds), but only dimensionless products
 enter the results, so natural units (width = 1) work unchanged.
 """
@@ -17,6 +18,7 @@ enter the results, so natural units (width = 1) work unchanged.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +44,7 @@ _DENOM_FLOOR = 1e-14
 
 
 class QuadratureNotConverged(RuntimeError):
-    """Quadrature refinement hit its depth cap above the target error."""
+    """Quadrature would need more nodes than its cap to reach its target error."""
 
 
 class EmptyWindow(ValueError):
@@ -161,8 +163,11 @@ class TabulatedPacket:
         return re + 1j * im
 
     def time_amplitude(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(1j * (t[..., None] * self.omega)) @ (self._weights * self.amp)
+        phase = np.asarray(t, dtype=float)[..., None] * self.omega
+        kernel = np.empty(phase.shape, dtype=complex)  # exp(1j * phase), 2.5x faster in place
+        np.cos(phase, out=kernel.real)
+        np.sin(phase, out=kernel.imag)
+        return kernel @ (self._weights * self.amp)
 
 
 Wavepacket = GaussianPacket | TabulatedPacket
@@ -234,10 +239,8 @@ def _refined_integral(fn, lo: float, hi: float, breaks, tol: float, max_level: i
     ``breaks`` lists interior points where the integrand may have kinks
     (tabulated-grid nodes); segments between them are smooth, so Simpson
     refinement converges fast. ``fn`` maps a (segments, nodes) array to the
-    integrand, or to k integrands stacked on a leading axis, each of which
-    stops at its own level. Returns the integral, or the array of k; an empty
-    interval gives zero. Raises QuadratureNotConverged if doubling stalls
-    above ``tol``.
+    integrand. An empty interval gives zero. Raises QuadratureNotConverged if
+    doubling stalls above ``tol``.
     """
     inner = np.asarray(breaks, dtype=float)
     pts = np.sort(np.concatenate(([lo, max(lo, hi)], inner[(lo < inner) & (inner < hi)])))
@@ -253,23 +256,20 @@ def _refined_integral(fn, lo: float, hi: float, breaks, tol: float, max_level: i
     x = nodes(np.arange(n_sub + 1))
     x[:, -1] = pts[1:]
     y = fn(x)
-    ends, odd, even = y[..., 0] + y[..., -1], y[..., 1::2].sum(-1), y[..., 2:-1:2].sum(-1)
-    prev = out = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
-    done = np.zeros(np.shape(prev), dtype=bool)
+    ends, odd, even = y[:, 0] + y[:, -1], y[:, 1::2].sum(-1), y[:, 2:-1:2].sum(-1)
+    prev = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
     for level in range(start_level + 1, max_level + 1):
         n_sub *= 2
         # The old interior nodes all become even ones; only the odd ones are new.
         even, odd = even + odd, fn(nodes(np.arange(1, n_sub, 2))).sum(-1)
         cur = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
-        step = np.abs(cur - prev)
-        out = np.where(done, out, cur)
-        done |= step <= tol * np.maximum(1.0, np.abs(cur))
-        if done.all():
-            return out[()]
+        step = abs(cur - prev)
+        if step <= tol * max(1.0, abs(cur)):
+            return cur
         prev = cur
     raise QuadratureNotConverged(
         f"integral over [{lo:g}, {hi:g}] did not stabilize below {tol:g} "
-        f"(last refinement step {np.max(step[~done]):.3e})"
+        f"(last refinement step {step:.3e})"
     )
 
 
@@ -298,24 +298,53 @@ def alpha_infinite_window(psi: Wavepacket, phi: Wavepacket) -> OverlapAlpha:
     return OverlapAlpha(complex(num) / np.sqrt(norms[0] * norms[1]))
 
 
+@functools.cache  # on first use, not at import: its eigh would map LAPACK workspace in every process
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch, symmetrized to halve its rounding."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)  # the Jacobi matrix of the Legendre recurrence
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * v[0] ** 2
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
+_MAX_PANELS = (2**14 + 1) // 24  # the old Simpson doubling's deepest node count per window
+_BLOCK = 64  # nodes per time_amplitude call, so its (nodes x samples) matrix stays under the old peak
+
+
 def alpha_finite_window(psi: Wavepacket, phi: Wavepacket, t: float, tau: float) -> OverlapAlpha:
     """Overlap alpha for a coincidence window of width tau centered on time t.
 
     Ratio of the windowed time-domain cross integral to the geometric mean of
-    the windowed intensities. Raises EmptyWindow when either intensity factor
-    underflows (no amplitude in the window).
+    the windowed intensities. The integrands' frequencies lie within Omega, the
+    span of the union of the packets' supports, so one composite 24-point
+    Gauss-Legendre rule on ceil(Omega tau / 16) equal panels integrates all
+    three far below rounding. Raises QuadratureNotConverged above 682 panels,
+    and EmptyWindow when either intensity factor is below 1e-14 or not a
+    number (no amplitude in the window).
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     lo, hi = t - tau / 2.0, t + tau / 2.0
-
-    def integrands(s):
-        f_psi, f_phi = psi.time_amplitude(s), phi.time_amplitude(s)
-        return np.stack([f_phi * np.conj(f_psi), np.abs(f_psi) ** 2, np.abs(f_phi) ** 2])
-
-    num, d_psi, d_phi = _refined_integral(integrands, lo, hi, (), _QUAD_TOL)
-    d_psi, d_phi = d_psi.real, d_phi.real
-    if d_psi < _DENOM_FLOOR or d_phi < _DENOM_FLOOR:
+    (a_psi, b_psi), (a_phi, b_phi) = psi.support(), phi.support()
+    beat = max(b_psi, b_phi) - min(a_psi, a_phi)
+    panels = beat * tau / 16.0  # the fastest beat turns through at most 16 rad per panel
+    if not panels <= _MAX_PANELS:
+        raise QuadratureNotConverged(
+            f"integral over [{lo:g}, {hi:g}] did not stabilize: its {beat:g} rad/s beat "
+            f"needs more than {_MAX_PANELS} panels of 24 Gauss-Legendre nodes"
+        )
+    n = max(1, math.ceil(panels))
+    nodes, weights = _gauss_legendre(24)
+    s = (lo + tau / n * (np.arange(n)[:, None] + (nodes + 1.0) / 2.0)).ravel()
+    w = np.tile(weights * (tau / n / 2.0), n)
+    num, d_psi, d_phi = 0j, 0.0, 0.0
+    for i in range(0, s.size, _BLOCK):
+        f_psi, f_phi = psi.time_amplitude(s[i : i + _BLOCK]), phi.time_amplitude(s[i : i + _BLOCK])
+        num += w[i : i + _BLOCK] @ (f_phi * np.conj(f_psi))
+        d_psi += w[i : i + _BLOCK] @ (f_psi.real**2 + f_psi.imag**2)
+        d_phi += w[i : i + _BLOCK] @ (f_phi.real**2 + f_phi.imag**2)
+    if not (d_psi >= _DENOM_FLOOR and d_phi >= _DENOM_FLOOR):
         raise EmptyWindow(
             f"window [{lo:g}, {hi:g}] holds no amplitude (factors {d_psi:.3e}, {d_phi:.3e})"
         )

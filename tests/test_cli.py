@@ -304,6 +304,28 @@ class TestMalformedConfig:
         assert code == 2
         assert "unknown preset '5'" in err
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (dict(gaussian_pair(1.0, 1.0, "infinite"), psi={"gaussian": 1.0}),
+             "'psi' 'gaussian' must be a JSON object, got 1.0"),
+            (dict(gaussian_pair(1.0, 1.0, "infinite"), phi={"gaussian": [1.0]}),
+             "'phi' 'gaussian' must be a JSON object, got [1.0]"),
+            (gaussian_pair(1.0, 1.0, "finite"),
+             "window must be 'infinite' or an object with 't' and 'tau', got 'finite'"),
+            (gaussian_pair(1.0, 1.0, {"tau": 1.0}),
+             "window must be 'infinite' or an object with 't' and 'tau', got {'tau': 1.0}"),
+        ],
+        ids=["gaussian-number", "gaussian-list", "window-string", "window-without-t"],
+    )
+    def test_message_names_the_field_not_python(self, tmp_path, capsys, alpha, message):
+        # These exited 2 with Python's text ("not subscriptable", "string indices").
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestScan:
     def test_small_grid_shape(self, capsys):
@@ -358,6 +380,49 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--count", "2", "--seed", "9")
         assert code == 1
         assert "FAIL" in out
+
+    def test_raising_instance_is_a_fail_row(self, capsys, monkeypatch):
+        # An exception inside a suite used to escape as a traceback.
+        original = verify_mod.scattering.polar_decompose_s
+
+        def raising(sm):
+            if np.allclose(sm.s, verify_mod.haar_unitary(4, 10)):
+                raise RuntimeError("planted")  # reported with this line's number
+            return original(sm)
+
+        monkeypatch.setattr(verify_mod.scattering, "polar_decompose_s", raising)
+        code, out, err = run(capsys, "verify", "--count", "3", "--seed", "9")
+        assert (code, err) == (1, "")
+        lineno = raising.__code__.co_firstlineno + 2
+        # The instance's own alpha: the ladder had ended on it when the polar suite raised.
+        alpha = float(np.random.Generator(np.random.PCG64(9)).uniform(0.0, 1.0, size=3)[1])
+        rows = [line.split(None, 5) for line in out.splitlines() if line.startswith("raised")]
+        assert rows == [[
+            "raised", "1", "inf", "0.0e+00", "FAIL",
+            f"instance seed=10 alpha_sq={alpha!r}: RuntimeError: planted (in raising, test_cli.py:{lineno})",
+        ]]
+        assert out.splitlines()[-1] == "overall: FAIL"
+        polar = [line.split() for line in out.splitlines() if line.startswith("polar_roundtrip")]
+        assert polar[0][:2] == ["polar_roundtrip", "2"]  # the other two instances still ran
+
+    def test_raise_on_the_ladder_names_its_alpha(self, capsys, monkeypatch):
+        original = verify_mod.state.build_rho
+
+        def raising(g, alpha_sq, *args):
+            if alpha_sq == 0.5:
+                raise ValueError("planted")
+            return original(g, alpha_sq, *args)
+
+        monkeypatch.setattr(verify_mod.state, "build_rho", raising)
+        code, out, _ = run(capsys, "verify", "--count", "2", "--seed", "3")
+        assert code == 1
+        notes = [line.split("FAIL", 1)[1].split(" (in ")[0] for line in out.splitlines() if line.startswith("raised")]
+        assert notes == [f"    instance seed={s} alpha_sq=0.5: ValueError: planted" for s in (3, 4)]
+
+    def test_report_bytes_unchanged_without_raises(self):
+        results = verify_mod.run_campaign(2, 4)
+        assert all(r.note == "" for r in results)
+        assert "raised" not in verify_mod.format_report(results)
 
 
 class TestUsage:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -38,3 +41,13 @@ def test_readme_quick_start_runs():
     numbers = [float(tok) for tok in printed if tok not in ("True", "False")]
     assert len(numbers) >= 2, printed
     assert all(math.isfinite(v) for v in numbers), printed
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # The Gauss-Legendre nodes come from a 24 x 24 eigh on first use; numpy.polynomial
+    # (leggauss) would add ~6 ms to every start-up.
+    src = str(Path(bellsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bellsplit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -365,33 +365,53 @@ def loop_refined_integral(fn, lo, hi, breaks, tol, max_level=14):
     raise QuadratureNotConverged("oracle did not converge")
 
 
-def loop_alpha(psi, phi, window=None):
-    """alpha from three separate oracle integrals, as before the stacked form."""
+def loop_alpha(psi, phi):
+    """Infinite-window alpha from three separate oracle integrals."""
     tol = wavepacket._QUAD_TOL
-    if window is None:
-        lo = max(psi.support()[0], phi.support()[0])
-        hi = min(psi.support()[1], phi.support()[1])
-        breaks = np.concatenate([wavepacket._breakpoints(psi), wavepacket._breakpoints(phi)])
-        num = loop_refined_integral(
-            lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, breaks, tol
-        )
-        norms = [
-            loop_refined_integral(
-                lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), wavepacket._breakpoints(p), tol
-            ).real
-            for p in (psi, phi)
-        ]
-    else:
-        t, tau = window
-        lo, hi = t - tau / 2.0, t + tau / 2.0
-        num = loop_refined_integral(
-            lambda s: phi.time_amplitude(s) * np.conj(psi.time_amplitude(s)), lo, hi, (), tol
-        )
-        norms = [
-            loop_refined_integral(lambda s, p=p: np.abs(p.time_amplitude(s)) ** 2, lo, hi, (), tol).real
-            for p in (psi, phi)
-        ]
+    lo = max(psi.support()[0], phi.support()[0])
+    hi = min(psi.support()[1], phi.support()[1])
+    breaks = np.concatenate([wavepacket._breakpoints(psi), wavepacket._breakpoints(phi)])
+    num = loop_refined_integral(lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, breaks, tol)
+    norms = [
+        loop_refined_integral(
+            lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), wavepacket._breakpoints(p), tol
+        ).real
+        for p in (psi, phi)
+    ]
     return OverlapAlpha(complex(num) / np.sqrt(norms[0] * norms[1]))
+
+
+def sinc_kernel_alpha(psi, phi, t, tau):
+    """Exact finite-window alpha of two tabulated packets, as a double sum.
+
+    time_amplitude is the discrete sum f(s) = sum_k c_k exp(i w_k s), so each
+    window integral is sum_kl c_k conj(c_l) tau exp(i D t) sinc(D tau / 2)
+    with D = w_k - w_l. Well conditioned only where the window holds a fair
+    share of the intensity: the terms are O(1) whatever the result.
+    """
+
+    def cross(p, q):
+        d = p.omega[:, None] - q.omega[None, :]
+        kernel = tau * np.exp(1j * d * t) * np.sinc(d * tau / (2.0 * np.pi))
+        return (p._weights * p.amp) @ kernel @ np.conj(q._weights * q.amp)
+
+    return cross(phi, psi) / np.sqrt(cross(psi, psi).real * cross(phi, phi).real)
+
+
+def mpmath_gaussian_alpha(psi, phi, t, tau):
+    """Finite-window alpha of two Gaussian packets by mpmath.quad at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+
+    def f(p, s):
+        u, w = s - p.delay, mpmath.mpf(p.width)
+        scale = (2 * mpmath.pi * w**2) ** -0.25 * 2 * w * mpmath.sqrt(mpmath.pi)
+        return scale * mpmath.exp(1j * p.center * u - w**2 * u**2)
+
+    span = [t - tau / 2.0, t, t + tau / 2.0]
+    num = mpmath.quad(lambda s: f(phi, s) * mpmath.conj(f(psi, s)), span)
+    d_psi, d_phi = (mpmath.quad(lambda s, p=p: abs(f(p, s)) ** 2, span) for p in (psi, phi))
+    return complex(num / mpmath.sqrt(d_psi * d_phi))
 
 
 def quadrature_pairs():
@@ -410,15 +430,18 @@ def quadrature_pairs():
 class TestArrayQuadrature:
     @pytest.mark.parametrize("case", list(quadrature_pairs()), ids=lambda c: c[0])
     def test_alpha_matches_loop_oracle(self, case):
-        # The loop adds ~800 segment terms in order, which alone moves alpha
-        # by up to ~2e-15; the array sums are closer to an exact sum.
-        _, psi, phi, window = case
-        for new, old in (
-            (alpha_infinite_window(psi, phi), loop_alpha(psi, phi)),
-            (alpha_finite_window(psi, phi, *window), loop_alpha(psi, phi, window)),
-        ):
-            assert abs(new.alpha_sq - old.alpha_sq) <= 2e-15
-            assert abs(new.alpha - old.alpha) <= 2e-15
+        # Infinite window: the loop adds ~800 segment terms in order, which
+        # alone moves alpha by up to ~2e-15; the array sums are closer to an
+        # exact sum. Finite window: exact references, against which the old
+        # Simpson doubling was off by up to ~5e-11.
+        name, psi, phi, window = case
+        new, old = alpha_infinite_window(psi, phi), loop_alpha(psi, phi)
+        assert abs(new.alpha_sq - old.alpha_sq) <= 2e-15
+        assert abs(new.alpha - old.alpha) <= 2e-15
+        exact = (mpmath_gaussian_alpha if name.startswith("gauss") else sinc_kernel_alpha)(psi, phi, *window)
+        new = alpha_finite_window(psi, phi, *window)
+        assert abs(new.alpha_sq - abs(exact) ** 2) <= 1e-13
+        assert abs(new.alpha - exact) <= 1e-13
 
     def test_scalar_integral_matches_loop_oracle(self):
         fn = lambda x: np.exp(1j * 3.0 * x) / (1.0 + x**2)  # noqa: E731
@@ -427,7 +450,7 @@ class TestArrayQuadrature:
             new = wavepacket._refined_integral(fn, lo, hi, br, 1e-12)
             assert abs(new - loop_refined_integral(fn, lo, hi, br, 1e-12)) <= 1e-15
 
-    def test_stacked_integrands_stop_at_their_own_level(self):
+    def test_refinement_stops_at_the_integrands_own_level(self):
         smooth = lambda x: np.exp(-x)  # noqa: E731
         wiggly = lambda x: np.cos(40.0 * x) * x  # noqa: E731
         calls = {}
@@ -441,29 +464,17 @@ class TestArrayQuadrature:
 
         for br in ((), (0.5, 1.2)):
             calls.clear()
-            a = wavepacket._refined_integral(counted("smooth", smooth), 0.0, 2.0, br, 1e-9)
-            b = wavepacket._refined_integral(counted("wiggly", wiggly), 0.0, 2.0, br, 1e-9)
+            for name, f in (("smooth", smooth), ("wiggly", wiggly)):
+                got = wavepacket._refined_integral(counted(name, f), 0.0, 2.0, br, 1e-9)
+                assert abs(got - loop_refined_integral(f, 0.0, 2.0, br, 1e-9)) <= 1e-15
             assert calls["smooth"] < calls["wiggly"]  # one stops at a shallower level
-            both = wavepacket._refined_integral(
-                lambda x: np.stack([smooth(x), wiggly(x)]), 0.0, 2.0, br, 1e-9
-            )
-            assert both.shape == (2,)
-            assert both[0] == a and both[1] == b
 
     def test_empty_interval_is_zero(self):
         assert wavepacket._refined_integral(np.cos, 1.0, 1.0, (), 1e-9) == 0.0
-        stacked = lambda x: np.stack([np.cos(x), np.sin(x)])  # noqa: E731
-        both = wavepacket._refined_integral(stacked, 2.0, 1.0, (), 1e-9)
-        assert both.shape == (2,) and not both.any()
 
     def test_stalled_doubling_raises(self):
         with pytest.raises(QuadratureNotConverged, match=r"last refinement step [1-9]"):
             wavepacket._refined_integral(lambda x: np.cos(1e4 * x), 0.0, 1.0, (), 1e-9, max_level=4)
-        # A stacked call fails when any one integrand stalls.
-        with pytest.raises(QuadratureNotConverged):
-            wavepacket._refined_integral(
-                lambda x: np.stack([np.ones_like(x), np.cos(1e4 * x)]), 0.0, 1.0, (), 1e-9, max_level=6
-            )
 
     def test_unresolvable_window_raises(self):
         # Carriers 1e6 apart beat faster than 2^14 nodes per window resolve.
@@ -477,3 +488,122 @@ class TestArrayQuadrature:
         assert p.time_amplitude(s).shape == (3, 4)
         assert np.all(p.time_amplitude(s) == p.time_amplitude(s.ravel()).reshape(3, 4))
         assert np.ndim(p.time_amplitude(0.3)) == 0
+
+
+class CountingPacket:
+    """Wraps a packet and records the size of every time_amplitude call."""
+
+    def __init__(self, packet):
+        self.packet, self.sizes = packet, []
+
+    def support(self):
+        return self.packet.support()
+
+    def time_amplitude(self, s):
+        self.sizes.append(np.size(s))
+        return self.packet.time_amplitude(s)
+
+
+def dense_window_alphas(psi, phi, ts, tau, per_window=1000):
+    """Finite-window alpha by composite Simpson on a dense grid, per window in ts.
+
+    The same pointwise integrands as the library, so faint windows keep their
+    conditioning; ts and tau / 2 must be multiples of tau / per_window.
+    Returns the alphas and the two intensity factors of every window.
+    """
+    h = tau / per_window
+    start = np.round((ts - tau / 2.0) / h).astype(int)
+    grid = np.arange(start.min(), start.max() + per_window + 1) * h
+    f_psi, f_phi = (
+        np.concatenate([p.time_amplitude(grid[i : i + 1024]) for i in range(0, grid.size, 1024)])
+        for p in (psi, phi)
+    )
+    w = simpson_weights(np.arange(per_window + 1) * h)
+    out = []
+    for i in start - start.min():
+        a, b = f_psi[i : i + per_window + 1], f_phi[i : i + per_window + 1]
+        d_psi, d_phi = w @ np.abs(a) ** 2, w @ np.abs(b) ** 2
+        out.append((w @ (b * np.conj(a)) / np.sqrt(d_psi * d_phi), d_psi, d_phi))
+    return out
+
+
+class TestGaussLegendreWindow:
+    def test_rule_matches_numpy_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(24)
+        nodes, weights = wavepacket._gauss_legendre(24)
+        assert np.max(np.abs(nodes - x)) <= 1e-15
+        assert np.max(np.abs(weights - w)) <= 2e-15
+        assert np.all(np.diff(nodes) > 0.0)
+
+    @pytest.mark.parametrize("delay", [0.05, 0.7])
+    def test_faint_windows_match_dense_oracle(self, delay):
+        # 801-sample unit-width packets; from t ~ 2.5 the window holds under
+        # 1e-4 of the intensity and from t = 4.2 under the 1e-14 floor. The
+        # old doubling stopped on an absolute 1e-9 step and was off by up to
+        # 7e-5 here.
+        psi = tabulated_gaussian(width=1.0, n=801)
+        phi = tabulated_gaussian(width=1.0, delay=delay, n=801)
+        ts = np.round(np.arange(0.0, 4.5 + 1e-9, 0.05), 10)
+        empty = []
+        for t, (alpha, d_psi, d_phi) in zip(ts, dense_window_alphas(psi, phi, ts, 0.5)):
+            if min(d_psi, d_phi) < wavepacket._DENOM_FLOOR:
+                empty.append(t)
+                with pytest.raises(EmptyWindow):
+                    alpha_finite_window(psi, phi, t, 0.5)
+            else:
+                assert abs(alpha_finite_window(psi, phi, t, 0.5).alpha_sq - abs(alpha) ** 2) <= 1e-10, t
+        assert empty == [4.2, 4.25, 4.3, 4.35, 4.4, 4.45, 4.5]
+
+    @pytest.mark.parametrize(
+        "center, width, delay, t, tau",
+        [
+            (1.8837681774823682, 1.5113290581775096, 0.6714351319387211, 0.33571756596936053, 1.783601209355017),
+            (-1.5873174161802084, 1.3159222360782856, 0.2824886727845235, 0.14124433639226175, 1.412974689269509),
+        ],
+        ids=["analyze-seed311-op1182", "analyze-seed312-op2169"],
+    )
+    def test_benchmark_gaussian_windows(self, center, width, delay, t, tau):
+        # Two analyze benchmark ops where the old doubling passed its step
+        # test early and missed the analytic |alpha|^2 by 3.5e-8 and 1.3e-8.
+        psi, phi = GaussianPacket(center, width), GaussianPacket(center, width, delay)
+        exact = mpmath_gaussian_alpha(psi, phi, t, tau)
+        assert abs(alpha_finite_window(psi, phi, t, tau).alpha_sq - abs(exact) ** 2) <= 1e-13
+
+    def test_panel_count_follows_the_widest_beat(self):
+        # Supports +-8: the widest beat is 16 rad/s, so a window of 2 s gets
+        # ceil(16 * 2 / 16) = 2 panels of 24 nodes, in one call per packet.
+        psi, phi = CountingPacket(GaussianPacket(0.0, 1.0)), CountingPacket(GaussianPacket(0.0, 1.0, 0.3))
+        alpha_finite_window(psi, phi, 0.1, 2.0)
+        assert psi.sizes == phi.sizes == [48]
+        # Carriers 10 apart widen the beat to 26 rad/s: ceil(26 * 2 / 16) = 4 panels.
+        far = CountingPacket(GaussianPacket(10.0, 1.0))
+        alpha_finite_window(psi, far, 0.1, 2.0)
+        assert sum(far.sizes) == 96
+        tiny = CountingPacket(GaussianPacket(0.0, 1.0))
+        alpha_finite_window(tiny, tiny, 0.0, 1e-3)
+        assert tiny.sizes == [24, 24]
+
+    def test_long_windows_are_evaluated_in_blocks(self):
+        # 600 panels, 14,400 nodes: under the 2^14 + 1 cap, in many blocks.
+        psi = CountingPacket(GaussianPacket(0.0, 1.0, -0.4))
+        phi = CountingPacket(GaussianPacket(0.0, 1.0, 0.4))
+        a = alpha_finite_window(psi, phi, 0.0, 600.0)
+        assert sum(psi.sizes) == 14400 and max(psi.sizes) <= wavepacket._BLOCK
+        assert a.alpha_sq == pytest.approx(np.exp(-0.64), abs=1e-13)
+
+    def test_node_cap(self):
+        psi = GaussianPacket(0.0, 1.0)
+        # Widest beat 16 rad/s: 682 panels (16,368 nodes) fit, 682.5 and 683 do not.
+        alpha_finite_window(psi, psi, 0.0, 682.0)
+        for tau in (682.5, 683.0, np.inf):
+            with pytest.raises(QuadratureNotConverged, match="16 rad/s beat needs more than 682 panels"):
+                alpha_finite_window(psi, psi, 0.0, tau)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+    def test_non_finite_window_is_empty(self, t, kind):
+        p = GaussianPacket(0.0, 1.0) if kind == "gaussian" else tabulated_gaussian(n=201)
+        with pytest.raises(EmptyWindow), np.errstate(invalid="ignore"):
+            alpha_finite_window(p, p, t, 1.0)
