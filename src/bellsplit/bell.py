@@ -17,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import state as state_mod
-from .scattering import GammaPair, HybridMatrix, gammas, gram_invariants, realize_hybrid
-from .smallmat import ConsistencyError, PAULIS, SIGMA_Z, as_cmat, dagger, is_unitary
-from .state import PolarizationState, check_alpha_sq, normalization, require_coincidences
+from .scattering import GammaPair, GramInvariants, HybridMatrix, gammas, realize_hybrid
+from .smallmat import ConsistencyError, PAULIS, SIGMA_Z, as_cmat, dagger, first_where, is_unitary
+from .state import PolarizationState, closed_form_inputs, normalization
 
 __all__ = [
     "AnalyzerSetting",
@@ -29,6 +29,7 @@ __all__ = [
     "correlator_e",
     "correlation_matrix",
     "u_eigen_closed",
+    "u_from_invariants",
     "emax_and_branch",
     "emax",
     "chsh_bruteforce",
@@ -139,37 +140,67 @@ def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> Correlat
     return CorrelationMatrix(r)
 
 
-def u_eigen_closed(
-    X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic"
-) -> tuple[float, float, float]:
-    """Closed-form eigenvalues (u1, u2, u3) of the squared correlation tensor.
+#: math.hypot entry by entry: np.hypot rounds otherwise on a fraction of a
+#: percent of inputs, and analyze and verify print the scalar route's bits.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
-    Everything enters through the hybrid Gram matrix and |alpha|^2; u1 >= u2
-    by the branch choice while u3 carries the interference weight |alpha|^4.
+
+def u_from_invariants(inv: GramInvariants, alpha_sq, norm, live=True):
+    """Closed-form eigenvalues (u1, u2, u3) of the squared correlation tensor; broadcasts.
+
+    u1 >= u2 by the branch choice while u3 carries the interference weight
+    |alpha|^4. Every ``live`` cell must lie in [-1e-8, 1 + 1e-6], or
+    ConsistencyError names the inputs of the first that does not; callers
+    pass ``live=False`` (and a NaN norm) where the ensemble is empty. On
+    Python floats ``x**2`` goes through libm pow, on arrays it squares
+    exactly, so an array cell can differ from the scalar route by an ulp.
     """
-    check_alpha_sq(alpha_sq)
     a = alpha_sq
-    t1, t2, tt, c = gram_invariants(X.gram, statistics)
-    norm = require_coincidences((1.0 + a) * t1 + (1.0 - a) * t2)
+    t1, t2, tt, c = inv
     # u1, u2 = (T +- sqrt(T^2 - 4D)) / (2 norm^2) with T = A + B. Where u1 = u2,
     # T^2 - 4D cancels to ~1e-16 and its root to ~1e-8; the equal sum of squares
     # (A - B)^2 + 64 (1 - a^2) c^2 tt^2 keeps full precision.
     big_a = norm**2 - 4.0 * (1.0 - a**2) * (t1 * t2 - c**2)
     big_b = 4.0 * tt**2
-    disc = math.hypot(big_a - big_b, 8.0 * math.sqrt(1.0 - a**2) * c * tt)
+    disc = np.asarray(_hypot(big_a - big_b, 8.0 * np.sqrt(1.0 - a**2) * c * tt), dtype=float)
     u1 = (big_a + big_b + disc) / (2.0 * norm**2)
     u2 = (big_a + big_b - disc) / (2.0 * norm**2)
     u3 = 4.0 * a**2 * tt**2 / norm**2
-    for u in (u1, u2, u3):
-        if not -1e-8 <= u <= 1.0 + 1e-6:
-            raise ConsistencyError(f"correlation eigenvalue {u} escapes [0, 1]")
-    return float(max(u1, 0.0)), float(max(u2, 0.0)), float(max(u3, 0.0))
+    u = np.array([u1, u2, u3])
+    escaped = live & ~((u >= -1e-8) & (u <= 1.0 + 1e-6))
+    if escaped.any():
+        value, a_at, *inv_at = first_where(escaped, u, a, *inv)
+        raise ConsistencyError(
+            f"correlation eigenvalue {value} escapes [0, 1] at alpha_sq={a_at!r}, "
+            f"(t1, t2, tt, c)={tuple(inv_at)!r}"
+        )
+    return tuple(np.where(u < 0.0, 0.0, u))
 
 
-def emax_and_branch(u: tuple[float, float, float]) -> tuple[float, str]:
-    """CHSH maximum 2 sqrt(u1 + max(u2, u3)) from the closed-form spectrum, and its active branch."""
+def u_eigen_closed(
+    X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic"
+) -> tuple[float, float, float]:
+    """Closed-form eigenvalues (u1, u2, u3) of the squared correlation tensor.
+
+    Everything enters through the hybrid Gram matrix and |alpha|^2.
+    """
+    inv, norm = closed_form_inputs(X, alpha_sq, statistics)
+    u1, u2, u3 = u_from_invariants(inv, alpha_sq, norm)
+    return float(u1), float(u2), float(u3)
+
+
+_BRANCHES = np.array(["u2_active", "u3_active"], dtype=object)
+
+
+def emax_and_branch(u):
+    """CHSH maximum 2 sqrt(u1 + max(u2, u3)) from the closed-form spectrum, and its active branch.
+
+    Broadcasts: arrays of (u1, u2, u3) give an array of maxima and one of labels.
+    """
     u1, u2, u3 = u
-    return float(2.0 * np.sqrt(u1 + max(u2, u3))), "u3_active" if u3 >= u2 else "u2_active"
+    e = 2.0 * np.sqrt(u1 + np.where(u3 > u2, u3, u2))
+    branch = _BRANCHES[np.asarray(u3 >= u2, dtype=np.intp)]
+    return (float(e), branch) if np.ndim(e) == 0 else (e, branch)
 
 
 class BellReport(NamedTuple):

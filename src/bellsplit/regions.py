@@ -11,15 +11,23 @@ violate the inequality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .scattering import HybridMatrix, ScatteringMatrix, realize_hybrid
-from .smallmat import ConsistencyError
-from .state import ZeroCoincidence, check_alpha_sq, concurrence_closed, require_coincidences
-from .bell import emax_and_branch, u_eigen_closed
+from .scattering import HybridMatrix, ScatteringMatrix, gram_invariants, realize_hybrid
+from .smallmat import ConsistencyError, first_where
+from .state import (
+    check_alpha_sq,
+    concurrence_closed,
+    concurrence_from_invariants,
+    empty_ensemble,
+    mixture_norm,
+    require_coincidences,
+)
+from .bell import emax_and_branch, u_eigen_closed, u_from_invariants
 
 __all__ = [
     "BalancedPoint",
@@ -76,10 +84,16 @@ def g_boundary(alpha_sq: float) -> float:
     return float(0.25 * (1.0 - a + a**2 - (1.0 - a) * np.sqrt(1.0 + a**2)))
 
 
-def balanced_gram(hv_sq: float) -> np.ndarray:
-    """Hermitian Gram matrix with diagonal 1/2 and real off-diagonal sqrt(hv_sq)."""
+def balanced_gram(hv_sq) -> np.ndarray:
+    """Hermitian Gram matrix with diagonal 1/2 and real off-diagonal sqrt(hv_sq).
+
+    An array of hv_sq gives the stack of matrices, shape hv_sq.shape + (2, 2).
+    """
     h = np.sqrt(hv_sq)
-    return np.array([[0.5, h], [h, 0.5]], dtype=complex)
+    gram = np.empty(np.shape(h) + (2, 2), dtype=complex)
+    gram[..., 0, 0] = gram[..., 1, 1] = 0.5
+    gram[..., 0, 1] = gram[..., 1, 0] = h
+    return gram
 
 
 def realize_balanced(p: BalancedPoint) -> ScatteringMatrix:
@@ -113,29 +127,32 @@ def _sqrt_gram(hv_sq: float) -> np.ndarray:
     )
 
 
+def _check_branch(a, h, f, u2, u3) -> None:
+    # Bosonic slice: the crossover curve f must predict the active branch
+    # wherever u2 and u3 differ, away from a thin band around f; broadcasts.
+    wrong = (a > 0.0) & (np.abs(u2 - u3) > 1e-12) & ((h <= f) != (u3 >= u2)) & (np.abs(h - f) > 1e-9)
+    if np.any(wrong):
+        a, h, u2, u3 = first_where(wrong, a, h, u2, u3)
+        raise ConsistencyError(f"branch crossover prediction failed at ({a}, {h}): u2={u2}, u3={u3}")
+
+
+_REGIONS = np.array(["entangled_nonviolating", "unentangled", "violating"], dtype=object)
+
+
+def _region(c, e):
+    """Region label from the concurrence and the CHSH maximum; broadcasts."""
+    return _REGIONS[np.where(e > 2.0 + 1e-12, 2, np.where(c <= 1e-12, 1, 0))]
+
+
 def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> RegionReport:
     """CHSH maximum and region classification at a balanced point."""
     a, h = p.alpha_sq, p.hv_sq
     c = balanced_concurrence(p, statistics)
-    x = HybridMatrix(_sqrt_gram(h))
-    u = u_eigen_closed(x, a, statistics)
-    _, u2, u3 = u
-    if statistics == "bosonic" and a > 0.0 and abs(u2 - u3) > 1e-12:
-        # The branch predicted by the crossover curve must match the actual
-        # ordering; at a tie either branch is acceptable.
-        predicted_u3 = h <= f_boundary(a)
-        if predicted_u3 != (u3 >= u2) and abs(h - f_boundary(a)) > 1e-9:
-            raise ConsistencyError(
-                f"branch crossover prediction failed at ({a}, {h}): u2={u2}, u3={u3}"
-            )
+    u = u_eigen_closed(HybridMatrix(_sqrt_gram(h)), a, statistics)
+    if statistics == "bosonic":
+        _check_branch(a, h, f_boundary(a), u[1], u[2])
     e, branch = emax_and_branch(u)
-    if e > 2.0 + 1e-12:
-        region = "violating"
-    elif c <= 1e-12:
-        region = "unentangled"
-    else:
-        region = "entangled_nonviolating"
-    return RegionReport(concurrence=c, emax=e, branch=branch, region=region)
+    return RegionReport(concurrence=c, emax=e, branch=branch, region=_region(c, e))
 
 
 class NoMixingResult(NamedTuple):
@@ -168,8 +185,7 @@ def no_mixing_case(X: HybridMatrix, alpha_sq: float) -> NoMixingResult:
     return NoMixingResult(c=float(c), emax=float(e))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     alpha_sq: float
     hv_sq: float
     concurrence: float
@@ -185,33 +201,45 @@ def scan_grid(n_alpha: int, n_hv: int, statistics: str = "bosonic") -> list[Scan
     'boundary_g' instead of force-classified (bosonic case, where the curves
     apply). Points whose postselected ensemble is empty are tagged
     'zero_coincidence' with NaN observables.
+
+    The grid goes through the closed forms as arrays, alpha_sq down the rows
+    and hv_sq across, with every gate of ``balanced_emax`` applied to all cells.
     """
     if n_alpha < 2 or n_hv < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    rows = []
-    for a in np.linspace(0.0, 1.0, n_alpha):
-        for h in np.linspace(0.0, 0.25, n_hv):
-            point = BalancedPoint(float(a), float(h))
-            try:
-                rep = balanced_emax(point, statistics)
-            except ZeroCoincidence:
-                rows.append(ScanRow(float(a), float(h), float("nan"), float("nan"), "none", "zero_coincidence"))
-                continue
-            branch, region = rep.branch, rep.region
-            if statistics == "bosonic":
-                if abs(h - f_boundary(float(a))) < BOUNDARY_BAND:
-                    branch = "boundary_f"
-                if abs(h - g_boundary(float(a))) < BOUNDARY_BAND:
-                    region = "boundary_g"
-            rows.append(ScanRow(float(a), float(h), rep.concurrence, rep.emax, branch, region))
-    return rows
+    alphas, hvs = np.linspace(0.0, 1.0, n_alpha), np.linspace(0.0, 0.25, n_hv)
+    a = alphas[:, None]
+    inv = gram_invariants(balanced_gram(hvs), statistics)
+    norm = mixture_norm(inv, a)
+    live = ~empty_ensemble(norm)
+    norm = np.where(live, norm, np.nan)
+    c = concurrence_from_invariants(inv, a, norm)
+    with np.errstate(invalid="ignore"):  # math.hypot flags the NaN of the empty cells
+        u = u_from_invariants(inv, a, norm, live)
+    e, branch = emax_and_branch(u)
+    region = _region(c, e)
+    if statistics == "bosonic":
+        f = np.array([f_boundary(x) for x in alphas.tolist()])[:, None]
+        g = np.array([g_boundary(x) for x in alphas.tolist()])[:, None]
+        _check_branch(a, hvs, f, u[1], u[2])
+        branch = np.where(np.abs(hvs - f) < BOUNDARY_BAND, "boundary_f", branch)
+        region = np.where(np.abs(hvs - g) < BOUNDARY_BAND, "boundary_g", region)
+    branch = np.where(live, branch, "none")
+    region = np.where(live, region, "zero_coincidence")
+    # Lazy coordinate columns: each row shares its alpha_sq and hv_sq floats.
+    cells = zip(
+        itertools.chain.from_iterable(itertools.repeat(x, n_hv) for x in alphas.tolist()),
+        itertools.chain.from_iterable(itertools.repeat(hvs.tolist(), n_alpha)),
+        c.ravel().tolist(),
+        e.ravel().tolist(),
+        branch.ravel().tolist(),
+        region.ravel().tolist(),
+    )
+    return list(map(ScanRow._make, cells))
 
 
 def scan_to_csv(rows: list[ScanRow]) -> str:
     """Render scan rows as the stable CSV format (header plus one line per cell)."""
     lines = ["alpha_sq,hv_sq,concurrence,emax,branch,region"]
-    for row in rows:
-        lines.append(
-            f"{row.alpha_sq!r},{row.hv_sq!r},{row.concurrence!r},{row.emax!r},{row.branch},{row.region}"
-        )
+    lines.extend(f"{a!r},{h!r},{c!r},{e!r},{branch},{region}" for a, h, c, e, branch, region in rows)
     return "\n".join(lines) + "\n"

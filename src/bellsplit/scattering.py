@@ -12,7 +12,6 @@ so r = S[0:2, 0:2], t' = S[0:2, 2:4], t = S[2:4, 0:2], r' = S[2:4, 2:4].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .smallmat import (
     det2,
     herm_eigen,
     max_abs,
-    per2,
     sqrt_psd,
     svd2,
     tilde2,
@@ -48,6 +46,7 @@ __all__ = [
     "hybrid",
     "gammas",
     "check_statistics",
+    "GramInvariants",
     "gram_invariants",
     "trace_identities",
     "outgoing_matrix",
@@ -112,9 +111,16 @@ class HybridMatrix:
 
     x: np.ndarray
     gram: np.ndarray = field(init=False)
+    _invariants: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", dagger(self.x) @ self.x)
+
+    def invariants(self, statistics: str = "bosonic") -> GramInvariants:
+        """``gram_invariants(self.gram, statistics)``, derived once per statistics and kept."""
+        if statistics not in self._invariants:
+            self._invariants[statistics] = gram_invariants(self.gram, statistics)
+        return self._invariants[statistics]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +130,15 @@ class GammaPair:
     gamma1: np.ndarray
     gamma2: np.ndarray
     statistics: str = "bosonic"
+
+
+class GramInvariants(NamedTuple):
+    """(Tr g1† g1, Tr g2† g2, |Tr g1† g1~|, Tr g1† g2), as floats or as arrays over a Gram stack."""
+
+    t1: float
+    t2: float
+    tt: float
+    c: float
 
 
 class TraceSides(NamedTuple):
@@ -210,22 +225,46 @@ def gammas(sm: ScatteringMatrix, statistics: str = "bosonic") -> GammaPair:
     return GammaPair(g1, g2, statistics)
 
 
-def gram_invariants(gram: np.ndarray, statistics: str) -> tuple[float, float, float, float]:
+def _cmul(p, q):
+    # Complex product of (re, im) pairs. numpy's complex scalar product rounds
+    # exactly like this; its array loop may fuse into FMA and round otherwise.
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _det2_parts(m):
+    # det and Re per of a 2x2 matrix of (re, im) pairs.
+    diag, cross = _cmul(m[0][0], m[1][1]), _cmul(m[0][1], m[1][0])
+    return (diag[0] - cross[0], diag[1] - cross[1]), diag[0] + cross[0]
+
+
+def gram_invariants(gram, statistics: str) -> GramInvariants:
     """The four scalar invariants of the amplitude pair, from the hybrid Gram matrix alone.
 
     Returns (Tr g1† g1, Tr g2† g2, |Tr g1† g1~|, Tr g1† g2). The permanent and
     the determinant of the Gram matrix give the two norms; for fermions the
     amplitude matrices, and with them the two norms, trade places. The last
     invariant is Tr sigma_z G = G_HH - G_VV for either statistics.
+
+    ``gram`` is one 2x2 matrix, giving floats, or a stack of shape (..., 2, 2),
+    giving arrays of shape (...). Both round alike, entry by entry.
     """
     check_statistics(statistics)
-    g_hh, g_vv = float(gram[0, 0].real), float(gram[1, 1].real)
-    t1 = float(g_hh + g_vv - 2.0 * per2(gram).real)
-    t2 = float(g_hh + g_vv - 2.0 * det2(gram).real)
+    gram = np.asarray(gram)
+    m = gram.transpose(gram.ndim - 2, gram.ndim - 1, *range(gram.ndim - 2))
+    g = [[(m[i, j].real, m[i, j].imag) for j in range(2)] for i in range(2)]
+    # I - G, rounded as the complex matrix difference rounds it.
+    k = [[(float(i == j) - re, 0.0 - im) for j, (re, im) in enumerate(row)] for i, row in enumerate(g)]
+    g_hh, g_vv = g[0][0][0], g[1][1][0]
+    det_g, per_g = _det2_parts(g)
+    det_k, _ = _det2_parts(k)
+    t1 = g_hh + g_vv - 2.0 * per_g
+    t2 = g_hh + g_vv - 2.0 * det_g[0]
     if statistics == "fermionic":
         t1, t2 = t2, t1
-    tt = 2.0 * math.sqrt(max(0.0, (det2(gram) * det2(np.eye(2) - gram)).real))
-    return t1, t2, tt, g_hh - g_vv
+    span = _cmul(det_g, det_k)[0]
+    tt = 2.0 * np.sqrt(np.where(span > 0.0, span, 0.0))
+    inv = GramInvariants(t1, t2, tt, g_hh - g_vv)
+    return GramInvariants(*map(float, inv)) if gram.ndim == 2 else inv
 
 
 def trace_identities(sm: ScatteringMatrix) -> TraceIdentities:

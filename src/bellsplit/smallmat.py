@@ -28,6 +28,7 @@ __all__ = [
     "per2",
     "tilde2",
     "max_abs",
+    "first_where",
     "is_unitary",
     "haar_unitary",
     "HermEigen",
@@ -132,6 +133,16 @@ def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm."""
     a = np.asarray(a)
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def first_where(mask, *values) -> tuple[float, ...]:
+    """The ``values`` at the first True cell of ``mask``, each broadcast to its shape.
+
+    Array-wide gates use it to name the inputs of the first cell that failed.
+    """
+    mask = np.asarray(mask)
+    at = np.unravel_index(np.argmax(mask), mask.shape)
+    return tuple(float(np.broadcast_to(v, mask.shape)[at]) for v in values)
 
 
 def is_unitary(a, tol: float = DEFAULT_TOLERANCES.identity) -> bool:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scattering import GammaPair, HybridMatrix, gram_invariants
+from .scattering import GammaPair, GramInvariants, HybridMatrix
 from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd, tilde2
 
 __all__ = [
@@ -26,6 +26,10 @@ __all__ = [
     "build_rho",
     "normalization",
     "require_coincidences",
+    "empty_ensemble",
+    "mixture_norm",
+    "closed_form_inputs",
+    "concurrence_from_invariants",
     "coincidence_denominator",
     "concurrence_closed",
     "concurrence_gamma",
@@ -43,12 +47,18 @@ class ZeroCoincidence(ValueError):
     """The coincidence-postselected ensemble is empty; the state is undefined."""
 
 
+def empty_ensemble(norm):
+    """Whether a mixture norm leaves the postselected ensemble empty; broadcasts over arrays."""
+    return norm <= _N_FLOOR
+
+
 def require_coincidences(norm: float) -> float:
     """Pass a mixture norm through, raising ZeroCoincidence when the ensemble is empty.
 
-    Every route to the state and to its closed forms applies this one test.
+    Every scalar route to the state and to its closed forms applies this one
+    test; array routes mask the cells where ``empty_ensemble`` holds.
     """
-    if norm <= _N_FLOOR:
+    if empty_ensemble(norm):
         raise ZeroCoincidence(f"no coincidence events survive postselection (norm {norm:.3e})")
     return norm
 
@@ -123,22 +133,40 @@ def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     return PolarizationState(rho, alpha_sq=alpha_sq, gammas=g)
 
 
+def mixture_norm(inv: GramInvariants, alpha_sq):
+    """(1 + a) t1 + (1 - a) t2, twice the coincidence probability; broadcasts over arrays."""
+    return (1.0 + alpha_sq) * inv.t1 + (1.0 - alpha_sq) * inv.t2
+
+
+def closed_form_inputs(X: HybridMatrix, alpha_sq: float, statistics: str) -> tuple[GramInvariants, float]:
+    """The Gram invariants of ``X`` and the mixture norm, past the alpha and empty-ensemble checks."""
+    check_alpha_sq(alpha_sq)
+    inv = X.invariants(statistics)
+    return inv, require_coincidences(mixture_norm(inv, alpha_sq))
+
+
+def concurrence_from_invariants(inv: GramInvariants, alpha_sq, norm):
+    """Closed-form concurrence 2 |alpha|^2 |Tr g1† g1~| / norm, clamped to [0, 1]; broadcasts.
+
+    Cells with a NaN norm (empty ensembles an array caller masked) give NaN.
+    """
+    c = 2.0 * alpha_sq * inv.tt / norm
+    return np.where(c < 0.0, 0.0, np.where(c > 1.0, 1.0, c))
+
+
 def coincidence_denominator(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
     """Probability of one photon on each side, expressed through the hybrid Gram matrix.
 
     For fermions the permanent and determinant trade places (the amplitude
     matrices swap), turning the bunching dip into an antibunching peak.
     """
-    t1, t2, _, _ = gram_invariants(X.gram, statistics)
-    return float(((1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2) / 2.0)
+    return float(mixture_norm(X.invariants(statistics), alpha_sq) / 2.0)
 
 
 def concurrence_closed(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
     """Concurrence in closed form from the hybrid Gram matrix and |alpha|^2."""
-    check_alpha_sq(alpha_sq)
-    t1, t2, tt, _ = gram_invariants(X.gram, statistics)
-    norm = require_coincidences((1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2)
-    return float(min(max(2.0 * alpha_sq * tt / norm, 0.0), 1.0))
+    inv, norm = closed_form_inputs(X, alpha_sq, statistics)
+    return float(concurrence_from_invariants(inv, alpha_sq, norm))
 
 
 def concurrence_gamma(g: GammaPair, alpha_sq: float) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bellsplit import scattering as scattering_mod
 from bellsplit.cli import main
 from bellsplit.smallmat import mat_to_json
 from bellsplit import state as state_mod
@@ -45,6 +46,16 @@ class TestAnalyze:
         assert len(calls) == 1
         mandel = json.loads(out)["mandel"]
         assert mandel["dip"] == mandel["coincidence_prob"] - mandel["classical_prob"]
+
+    def test_gram_invariants_derived_once(self, capsys, monkeypatch):
+        # The coincidence denominator, the closed concurrence and the closed
+        # spectrum all read the invariants of the one hybrid matrix.
+        calls = []
+        original = scattering_mod.gram_invariants
+        monkeypatch.setattr(scattering_mod, "gram_invariants", lambda *a: calls.append(a) or original(*a))
+        code, _, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.4)", "--alpha-sq", "0.6")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_identity_preset_reports_separable(self, capsys):
         code, out, _ = run(capsys, "analyze", "--preset", "identity", "--alpha-sq", "0.8")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellsplit import regions as regions_mod
 from bellsplit.bell import emax, u_eigen_closed
 from bellsplit.regions import (
     BOUNDARY_BAND,
@@ -17,7 +18,7 @@ from bellsplit.regions import (
 )
 from bellsplit.scattering import HybridMatrix, gammas, hybrid, realize_hybrid
 from bellsplit.state import ZeroCoincidence, concurrence_closed, concurrence_wootters, build_rho
-from bellsplit.smallmat import max_abs
+from bellsplit.smallmat import ConsistencyError, max_abs
 
 
 class TestBoundaries:
@@ -280,3 +281,144 @@ class TestScan:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             scan_grid(1, 5)
+
+
+def _scalar_row(a, h, statistics):
+    """The scan row of (a, h) by the scalar route: balanced_emax plus the boundary tags."""
+    try:
+        rep = balanced_emax(BalancedPoint(a, h), statistics)
+    except ZeroCoincidence:
+        return float("nan"), float("nan"), "none", "zero_coincidence"
+    branch, region = rep.branch, rep.region
+    if statistics == "bosonic":
+        if abs(h - f_boundary(a)) < BOUNDARY_BAND:
+            branch = "boundary_f"
+        if abs(h - g_boundary(a)) < BOUNDARY_BAND:
+            region = "boundary_g"
+    return rep.concurrence, rep.emax, branch, region
+
+
+def _mp_reference(a, h, statistics):
+    """C and E_max on the slice in 50-digit arithmetic, through the textbook root of the spectrum.
+
+    The Gram invariants come from the per- and determinant of the balanced
+    Gram matrix, and u1, u2 from (T +- sqrt(T^2 - 4D)) / (2 norm^2), the form
+    that double precision evaluates as a sum of squares instead.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, h = mp.mpf(a), mp.mpf(h)
+        s, half = mp.sqrt(h), mp.mpf(1) / 2
+        per, det = half * half + s * s, half * half - s * s
+        t1, t2 = 1 - 2 * per, 1 - 2 * det
+        if statistics == "fermionic":
+            t1, t2 = t2, t1
+        tt = 2 * mp.sqrt(det * det)  # det(I - G) = det(G) on the slice
+        norm = (1 + a) * t1 + (1 - a) * t2
+        big_a, big_b = norm**2 - 4 * (1 - a**2) * t1 * t2, 4 * tt**2
+        root = mp.sqrt(max((big_a + big_b) ** 2 - 4 * big_a * big_b, 0))  # c = 0: D = A B
+        u1, u2 = (big_a + big_b + root) / (2 * norm**2), (big_a + big_b - root) / (2 * norm**2)
+        u3 = 4 * a**2 * tt**2 / norm**2
+        return float(2 * a * tt / norm), float(2 * mp.sqrt(u1 + max(u2, u3)))
+
+
+class TestArrayScan:
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_matches_scalar_route(self, statistics):
+        ties = set()
+        for row in scan_grid(41, 41, statistics):
+            c, e, branch, region = _scalar_row(row.alpha_sq, row.hv_sq, statistics)
+            if region == "zero_coincidence":
+                assert (row.branch, row.region) == (branch, region)
+                assert np.isnan(row.concurrence) and np.isnan(row.emax)
+                continue
+            assert abs(row.concurrence - c) <= 1e-13, row
+            assert abs(row.emax - e) <= 1e-13, row
+            if (row.branch, row.region) != (branch, region):
+                # Only a tie u2 = u3 may flip a label: the alpha_sq = 1 row.
+                _, u2, u3 = u_eigen_closed(HybridMatrix(_sqrt_balanced(row.hv_sq)), row.alpha_sq, statistics)
+                assert abs(u2 - u3) <= 1e-12, (row, branch, region)
+                ties.add(row.alpha_sq)
+        assert ties <= {1.0}
+
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_against_50_digit_reference(self, statistics):
+        for row in scan_grid(41, 41, statistics):
+            if row.region == "zero_coincidence":
+                continue
+            c, e = _mp_reference(row.alpha_sq, row.hv_sq, statistics)
+            assert abs(row.concurrence - c) <= 1e-13, row
+            assert abs(row.emax - e) <= 1e-13, row
+            scalar = balanced_emax(BalancedPoint(row.alpha_sq, row.hv_sq), statistics)
+            assert abs(scalar.concurrence - c) <= 1e-13 and abs(scalar.emax - e) <= 1e-13, row
+
+    def test_branch_gate_covers_every_cell(self, monkeypatch):
+        # A wrong crossover at one alpha_sq must stop the scan, naming the cell.
+        original = regions_mod.f_boundary
+        monkeypatch.setattr(regions_mod, "f_boundary", lambda a: 0.0 if a == 0.5 else original(a))
+        with pytest.raises(ConsistencyError, match=r"branch crossover prediction failed at \(0\.5, "):
+            scan_grid(11, 11)
+
+    def test_spectrum_gate_covers_every_cell(self, monkeypatch):
+        # One corrupted Gram matrix pushes u3 out of [0, 1] on its column.
+        original = regions_mod.gram_invariants
+
+        def corrupted(gram, statistics):
+            inv = original(gram, statistics)
+            tt = inv.tt.copy()
+            tt[3] *= 3.0
+            return inv._replace(tt=tt)
+
+        monkeypatch.setattr(regions_mod, "gram_invariants", corrupted)
+        for statistics in ("bosonic", "fermionic"):
+            with pytest.raises(ConsistencyError, match=r"escapes \[0, 1\] at alpha_sq="):
+                scan_grid(11, 11, statistics)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_only_the_corner_is_empty(self, n):
+        for statistics, expected in (("bosonic", [(1.0, 0.25)]), ("fermionic", [])):
+            empty = [r for r in scan_grid(n, n, statistics) if r.region == "zero_coincidence"]
+            assert [(r.alpha_sq, r.hv_sq) for r in empty] == expected
+            for r in empty:
+                assert r.branch == "none" and np.isnan(r.concurrence) and np.isnan(r.emax)
+
+    def test_closed_forms_run_once_per_grid(self, monkeypatch):
+        # A per-cell loop would make these counts grow with the grid.
+        counts = {}
+        for name in (
+            "balanced_emax",
+            "u_eigen_closed",
+            "concurrence_closed",
+            "gram_invariants",
+            "mixture_norm",
+            "concurrence_from_invariants",
+            "u_from_invariants",
+            "emax_and_branch",
+        ):
+            original = getattr(regions_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(regions_mod, name, counted)
+        per_grid = []
+        for n in (10, 50):
+            counts.clear()
+            scan_grid(n, n)
+            per_grid.append(dict(counts))
+        assert per_grid[0] == per_grid[1]
+        assert per_grid[1] == {
+            "gram_invariants": 1,
+            "mixture_norm": 1,
+            "concurrence_from_invariants": 1,
+            "u_from_invariants": 1,
+            "emax_and_branch": 1,
+        }
+
+    def test_rows_and_csv_keep_their_format(self):
+        rows = scan_grid(3, 3)
+        assert rows[4]._fields == ("alpha_sq", "hv_sq", "concurrence", "emax", "branch", "region")
+        assert all(type(x) is float for r in rows for x in r[:4])
+        assert all(type(x) is str for r in rows for x in r[4:])
+        assert scan_to_csv(rows).splitlines()[5] == "0.5,0.125,{!r},{!r},{},{}".format(*rows[4][2:])

@@ -155,6 +155,24 @@ class TestGramInvariants:
         with pytest.raises(ValueError, match="statistics must be"):
             gram_invariants(hybrid(preset("balanced_pc")).gram, "anyonic")
 
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_stack_rounds_as_each_matrix(self, statistics):
+        # numpy's array complex product may fuse into FMA; the invariants of a
+        # stack must still equal those of its matrices one by one, bit for bit.
+        grams = np.array([hybrid(make_scattering(u)).gram for u in haar_ensemble(4, 300, base_seed=97_000)])
+        stacked = gram_invariants(grams.reshape(20, 15, 2, 2), statistics)
+        assert all(v.shape == (20, 15) for v in stacked)
+        for k, gram in enumerate(grams):
+            one = gram_invariants(gram, statistics)
+            assert all(type(x) is float for x in one)
+            assert tuple(v[divmod(k, 15)] for v in stacked) == one
+
+    def test_hybrid_matrix_keeps_its_invariants(self):
+        x = hybrid(preset("balanced_mixing", 0.4))
+        assert x.invariants("fermionic") is x.invariants("fermionic")
+        assert x.invariants() == gram_invariants(x.gram, "bosonic")
+        assert x.invariants("fermionic") == gram_invariants(x.gram, "fermionic")
+
 
 class TestTraceIdentities:
     def test_balanced_point_values(self):
