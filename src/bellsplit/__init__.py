@@ -17,7 +17,6 @@ from .smallmat import (
     haar_unitary,
     herm_eigen,
     is_unitary,
-    pauli,
     svd2,
 )
 from .scattering import (
@@ -62,7 +61,6 @@ from .state import (
 from .bell import (
     AnalyzerSetting,
     BellReport,
-    CorrelationMatrix,
     chsh_bruteforce,
     coincidence_probs,
     correlation_matrix,
@@ -70,31 +68,21 @@ from .bell import (
     emax,
     u_eigen_closed,
 )
-from .decomp import DegenerateXi, RPrime, SemiPolar, consistency_check, r_prime, semi_polar
-from .regions import (
-    BalancedPoint,
-    RegionReport,
-    balanced_concurrence,
-    balanced_emax,
-    f_boundary,
-    g_boundary,
-    no_mixing_case,
-    scan_grid,
-    scan_to_csv,
-)
+from .decomp import DegenerateXi, RPrime, SemiPolar, r_prime, semi_polar
+from .regions import BalancedPoint, ScanRow, balanced_emax, f_boundary, g_boundary, scan_grid, scan_to_csv
 
 __all__ = [
     "ConsistencyError", "NotHermitian", "Tolerances", "haar_unitary", "herm_eigen", "is_unitary",
-    "pauli", "svd2", "DegenerateTransmission", "GammaPair", "HybridMatrix", "NotRankOne",
+    "svd2", "DegenerateTransmission", "GammaPair", "HybridMatrix", "NotRankOne",
     "NotUnitary", "ScatteringMatrix", "canonicalize_input", "gammas", "hybrid", "make_scattering",
     "outgoing_matrix", "polar_decompose_s", "preset", "realize_hybrid", "trace_identities",
     "EmptyWindow", "GaussianPacket", "OverlapAlpha", "QuadratureNotConverged", "TabulatedPacket",
     "alpha_finite_window", "alpha_infinite_window", "read_packet_csv",
     "temporal_distinguishability", "ConcurrenceReport", "PolarizationState", "ZeroCoincidence",
     "build_rho", "concurrence_closed", "concurrence_gamma", "concurrence_report",
-    "concurrence_wootters", "mandel_dip", "AnalyzerSetting", "BellReport", "CorrelationMatrix",
+    "concurrence_wootters", "mandel_dip", "AnalyzerSetting", "BellReport",
     "chsh_bruteforce", "coincidence_probs", "correlation_matrix", "correlator_e", "emax",
-    "u_eigen_closed", "DegenerateXi", "RPrime", "SemiPolar", "consistency_check", "r_prime",
-    "semi_polar", "BalancedPoint", "RegionReport", "balanced_concurrence", "balanced_emax",
-    "f_boundary", "g_boundary", "no_mixing_case", "scan_grid", "scan_to_csv",
+    "u_eigen_closed", "DegenerateXi", "RPrime", "SemiPolar", "r_prime",
+    "semi_polar", "BalancedPoint", "ScanRow", "balanced_emax",
+    "f_boundary", "g_boundary", "scan_grid", "scan_to_csv",
 ]

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import state as state_mod
 from .scattering import GammaPair, GramInvariants, HybridMatrix, gammas, realize_hybrid
-from .smallmat import ConsistencyError, PAULIS, SIGMA_Z, as_cmat, dagger, first_where, is_unitary
+from .smallmat import ConsistencyError, PAULIS, as_cmat, dagger, first_where, is_unitary
 from .state import PolarizationState, closed_form_inputs, normalization
 
 __all__ = [
     "AnalyzerSetting",
-    "CorrelationMatrix",
     "BellReport",
     "coincidence_probs",
     "correlator_e",
@@ -55,15 +54,6 @@ class AnalyzerSetting:
         object.__setattr__(self, "rotation", m)
 
     @classmethod
-    def from_angles(cls, theta: float, phi: float, lam: float) -> "AnalyzerSetting":
-        """Three-angle unitary (global phase dropped): Rz(phi) Ry(theta) Rz(lam)."""
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        m = np.array(
-            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
-        )
-        return cls(m)
-
-    @classmethod
     def from_axis(cls, axis) -> "AnalyzerSetting":
         """Rotation measuring the Bloch axis ``axis``: rotation† sigma_z rotation = axis . sigma."""
         v = np.asarray(axis, dtype=float)
@@ -77,14 +67,6 @@ class AnalyzerSetting:
         plus = np.array([c, np.exp(1j * phi) * s])
         minus = np.array([-np.exp(-1j * phi) * s, c])
         return cls(np.vstack([plus.conj(), minus.conj()]))
-
-    def observable(self) -> np.ndarray:
-        """The measured dichotomic observable rotation† sigma_z rotation."""
-        return dagger(self.rotation) @ SIGMA_Z @ self.rotation
-
-    def bloch_axis(self) -> np.ndarray:
-        obs = self.observable()
-        return np.array([np.trace(obs @ p).real / 2.0 for p in PAULIS])
 
 
 def coincidence_probs(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSetting) -> np.ndarray:
@@ -101,18 +83,11 @@ def correlator_e(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSett
     return float((p[0] + p[3] - p[1] - p[2]) / total)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """3x3 real correlation tensor R_kl = Tr rho sigma_k x sigma_l."""
+def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> np.ndarray:
+    """3x3 real correlation tensor R_kl = Tr rho sigma_k x sigma_l by direct traces.
 
-    r: np.ndarray
-
-
-def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> CorrelationMatrix:
-    """Correlation tensor by direct traces, cross-checked against the amplitude form.
-
-    When the state carries its build provenance the gamma-route expression is
-    evaluated too; disagreement beyond ``tol`` raises ConsistencyError.
+    When the state carries its build provenance the amplitude-form expression
+    is evaluated too; disagreement beyond ``tol`` raises ConsistencyError.
     """
     rho = state.rho
     r = np.empty((3, 3))
@@ -137,7 +112,7 @@ def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> Correlat
             raise ConsistencyError(
                 f"correlation tensor routes disagree: max deviation {defect:.3e} > {tol:.1e}"
             )
-    return CorrelationMatrix(r)
+    return r
 
 
 #: math.hypot entry by entry: np.hypot rounds otherwise on a fraction of a
@@ -250,7 +225,7 @@ def emax(
     if gamma_pair is None:
         gamma_pair = gammas(realize_hybrid(X.gram), statistics)
     rho = state_mod.build_rho(gamma_pair, alpha_sq)
-    corr = correlation_matrix(rho).r
+    corr = correlation_matrix(rho)
     spectrum = np.linalg.eigvalsh(corr.T @ corr)
     emax_h = 2.0 * np.sqrt(max(0.0, spectrum[-1] + spectrum[-2]))
     if abs(emax_h - emax_closed) > tol:
@@ -273,7 +248,7 @@ def emax(
 def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:
     """CHSH value measured at analyzer settings built from the plane-normal reduction.
 
-    ``corr`` is the correlation tensor R of ``state`` (``correlation_matrix(state).r``).
+    ``corr`` is the correlation tensor R of ``state`` (``correlation_matrix(state)``).
     For right-hand axes b, b' spanning a plane with unit normal n, the best
     left-hand axes are R(b + b') and R(b - b') normalized, and the best CHSH
     value over that plane is 2 sqrt(Tr M - n^T M n) with M = R^T R. The normal

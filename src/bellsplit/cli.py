@@ -55,6 +55,13 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _path(value, field: str) -> str:
+    # open() and os.path.exists() also take a file descriptor or a bytes path.
+    if not isinstance(value, str):
+        raise ConfigError(f"{field} must be a file path string, got {value!r}")
+    return value
+
+
 def _parse_preset(text: str, theta: float | None = None) -> scattering.ScatteringMatrix:
     name = str(text).strip()
     if name.endswith(")") and "(" in name:
@@ -77,7 +84,7 @@ def _load_scattering(cfg: dict) -> tuple[scattering.ScatteringMatrix, str]:
         theta = _number(cfg["theta"], "scattering 'theta'") if "theta" in cfg else None
         return _parse_preset(cfg["preset"], theta), f"preset:{cfg['preset']}"
     if "file" in cfg:
-        path = cfg["file"]
+        path = _path(cfg["file"], "scattering 'file'")
         if not os.path.exists(path):
             raise ConfigError(f"scattering file not found: {path}")
         try:
@@ -100,7 +107,7 @@ def _load_packet(cfg: dict, field: str) -> wavepacket.Wavepacket:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad gaussian packet config: {exc}") from None
     if "csv" in cfg:
-        path = cfg["csv"]
+        path = _path(cfg["csv"], f"{field} 'csv'")
         if not os.path.exists(path):
             raise ConfigError(f"packet file not found: {path}")
         try:
@@ -275,6 +282,8 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     if args.count < 1:
         raise ConfigError(f"count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     tolerances = _tolerances_from_env()
     results = verify.run_campaign(args.count, args.seed)
     header = (

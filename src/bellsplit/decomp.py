@@ -10,27 +10,17 @@ eigenvalue formulas, which is the capstone cross-check of the bell module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .scattering import GammaPair, HybridMatrix
-from .smallmat import (
-    SIGMA_Z,
-    dagger,
-    herm_eigen,
-    max_abs,
-    svd2,
-    tilde2,
-)
+from .scattering import GammaPair
+from .smallmat import dagger, max_abs, svd2, tilde2
 
 __all__ = [
     "DegenerateXi",
     "SemiPolar",
     "RPrime",
     "semi_polar",
-    "consistency_check",
-    "ConsistencyRecord",
     "r_prime",
 ]
 
@@ -68,18 +58,6 @@ class SemiPolar:
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         sq = np.diag(np.sqrt(self.xi)).astype(complex)
         return self.u @ self.q @ sq @ self.v, self.u @ sq @ self.v
-
-    def to_json(self) -> dict:
-        """Debug dump; format tag "debug-v1", not a stability promise."""
-        from .smallmat import mat_to_json
-
-        return {
-            "format": "debug-v1",
-            "u": mat_to_json(self.u),
-            "v": mat_to_json(self.v),
-            "xi": [float(self.xi[0]), float(self.xi[1])],
-            "q": [[float(e) for e in row] for row in self.q],
-        }
 
 
 def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
@@ -140,92 +118,11 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
     return sp
 
 
-class ConsistencyRecord(NamedTuple):
-    """Spectral-route quantities of the hybrid Gram matrix and a real coupling solution."""
-
-    lambdas: np.ndarray  # eigenvalues of the Gram matrix, descending
-    xi: np.ndarray  # (lam1 (1 - lam2), lam2 (1 - lam1))
-    inner: float  # Tr gamma1† gamma2 via the eigenbasis weights
-    c1: float  # cos(2 eta) from the eigenvector overlaps
-    couple_product: float
-    couple_square_sum: float
-    a12: float
-    a21: float
-
-
-def consistency_check(X: HybridMatrix) -> ConsistencyRecord:
-    """Verify the spectral route to xi and c1 and solve for the real couplings.
-
-    Diagonalizing the hybrid Gram matrix gives xi and c1 = cos 2 eta directly,
-    where cos eta is the modulus of the eigenbasis overlap. The two quadratic
-    constraints on the off-diagonal couplings always admit a real solution
-    (their discriminant is the arithmetic-geometric mean gap); one solution is
-    returned.
-    """
-    eig = herm_eigen(X.gram)
-    lam = np.clip(eig.eigenvalues, 0.0, 1.0)
-    w = dagger(eig.eigenvectors)  # rows indexed by eigenvalue
-    xi = np.array([lam[0] * (1.0 - lam[1]), lam[1] * (1.0 - lam[0])])
-
-    if abs(abs(w[0, 0]) - abs(w[1, 1])) > 1e-10 or abs(abs(w[0, 1]) - abs(w[1, 0])) > 1e-10:
-        raise ValueError("eigenbasis moduli violate 2x2 unitarity")
-    inner = float(
-        lam[0] * (abs(w[0, 0]) ** 2 - abs(w[0, 1]) ** 2)
-        + lam[1] * (abs(w[1, 0]) ** 2 - abs(w[1, 1]) ** 2)
-    )
-    inner_direct = float(np.trace(SIGMA_Z @ X.gram).real)
-    if abs(inner - inner_direct) > 1e-10:
-        raise ValueError("eigenbasis route to the inner product disagrees with the direct trace")
-    c1 = 2.0 * min(abs(w[0, 0]), 1.0) ** 2 - 1.0  # cos 2 eta
-
-    sin_sq_2eta = 1.0 - c1**2
-    geo = np.sqrt(max(0.0, lam[0] * lam[1] * (1.0 - lam[0]) * (1.0 - lam[1])))
-    ari = lam[0] * (1.0 - lam[0]) + lam[1] * (1.0 - lam[1])
-    if 2.0 * geo > ari + 1e-12:
-        raise ValueError("arithmetic-geometric mean inequality violated")
-    product = sin_sq_2eta * geo
-    square_sum = sin_sq_2eta * ari
-    disc = np.sqrt(max(0.0, square_sum**2 - 4.0 * product**2))
-    y_plus = (square_sum + disc) / 2.0
-    a12 = np.sqrt(max(0.0, y_plus))
-    a21 = product / a12 if a12 > 0.0 else 0.0
-    return ConsistencyRecord(
-        lambdas=lam,
-        xi=xi,
-        inner=inner,
-        c1=c1,
-        couple_product=product,
-        couple_square_sum=square_sum,
-        a12=float(a12),
-        a21=float(a21),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RPrime:
     """Correlation tensor in the joint-factorization basis; five nonzero entries."""
 
     matrix: np.ndarray  # 3x3 real
-
-    @property
-    def r11(self) -> float:
-        return float(self.matrix[0, 0])
-
-    @property
-    def r13(self) -> float:
-        return float(self.matrix[0, 2])
-
-    @property
-    def r22(self) -> float:
-        return float(self.matrix[1, 1])
-
-    @property
-    def r31(self) -> float:
-        return float(self.matrix[2, 0])
-
-    @property
-    def r33(self) -> float:
-        return float(self.matrix[2, 2])
 
     def eigenvalues_squared(self) -> tuple[float, float, float]:
         """Eigenvalues of matrixᵀ matrix: the closed pair from the interior block plus r22²."""
@@ -234,17 +131,6 @@ class RPrime:
         det = (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]) ** 2
         disc = np.sqrt(max(0.0, trace**2 - 4.0 * det))
         return ((trace + disc) / 2.0, (trace - disc) / 2.0, float(m[1, 1] ** 2))
-
-    def to_json(self) -> dict:
-        """Debug dump; format tag "debug-v1", not a stability promise."""
-        return {
-            "format": "debug-v1",
-            "r11": self.r11,
-            "r13": self.r13,
-            "r22": self.r22,
-            "r31": self.r31,
-            "r33": self.r33,
-        }
 
 
 def r_prime(sp: SemiPolar, alpha_sq: float, n: float) -> RPrime:

@@ -17,30 +17,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scattering import HybridMatrix, ScatteringMatrix, gram_invariants, realize_hybrid
+from .scattering import HybridMatrix, gram_invariants
 from .smallmat import ConsistencyError, first_where
-from .state import (
-    check_alpha_sq,
-    concurrence_closed,
-    concurrence_from_invariants,
-    empty_ensemble,
-    mixture_norm,
-    require_coincidences,
-)
+from .state import check_alpha_sq, concurrence_closed, concurrence_from_invariants, empty_ensemble, mixture_norm
 from .bell import emax_and_branch, u_eigen_closed, u_from_invariants
 
 __all__ = [
     "BalancedPoint",
-    "RegionReport",
     "ScanRow",
     "f_boundary",
     "g_boundary",
     "balanced_gram",
-    "realize_balanced",
-    "balanced_concurrence",
     "balanced_emax",
-    "no_mixing_case",
-    "NoMixingResult",
     "scan_grid",
     "scan_to_csv",
     "BOUNDARY_BAND",
@@ -63,8 +51,11 @@ class BalancedPoint:
             raise ValueError(f"hv_sq must lie in [0, 1/4], got {self.hv_sq}")
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class ScanRow(NamedTuple):
+    """One cell of the balanced slice; ``scan_grid`` adds its boundary and empty-ensemble tags."""
+
+    alpha_sq: float
+    hv_sq: float
     concurrence: float
     emax: float
     branch: str  # 'u3_active' or 'u2_active'
@@ -96,25 +87,6 @@ def balanced_gram(hv_sq) -> np.ndarray:
     return gram
 
 
-def realize_balanced(p: BalancedPoint) -> ScatteringMatrix:
-    """An explicit unitary splitter realizing the balanced Gram matrix of ``p``."""
-    return realize_hybrid(balanced_gram(p.hv_sq))
-
-
-def balanced_concurrence(p: BalancedPoint, statistics: str = "bosonic") -> float:
-    """Concurrence on the balanced slice.
-
-    Bosonic case uses the slice formula a (1 - 4 h) / (1 - 4 a h); the
-    fermionic case falls back to the general closed form on the balanced Gram
-    matrix (the slice formula is specific to bunching statistics).
-    """
-    a, h = p.alpha_sq, p.hv_sq
-    if statistics == "bosonic":
-        # On the slice the mixture norm is 1 - 4 a h.
-        return float(a * (1.0 - 4.0 * h) / require_coincidences(1.0 - 4.0 * a * h))
-    return concurrence_closed(HybridMatrix(_sqrt_gram(p.hv_sq)), a, statistics)
-
-
 def _sqrt_gram(hv_sq: float) -> np.ndarray:
     # Hermitian square root of the balanced Gram matrix: eigenvalues 1/2 +- h
     # on the (1, +-1)/sqrt(2) eigenvectors.
@@ -144,54 +116,20 @@ def _region(c, e):
     return _REGIONS[np.where(e > 2.0 + 1e-12, 2, np.where(c <= 1e-12, 1, 0))]
 
 
-def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> RegionReport:
-    """CHSH maximum and region classification at a balanced point."""
+def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> ScanRow:
+    """Concurrence, CHSH maximum and region classification at a balanced point.
+
+    The scan row of ``p`` without the boundary tags, through the same closed
+    forms that ``scan_grid`` evaluates as arrays.
+    """
     a, h = p.alpha_sq, p.hv_sq
-    c = balanced_concurrence(p, statistics)
-    u = u_eigen_closed(HybridMatrix(_sqrt_gram(h)), a, statistics)
+    x = HybridMatrix(_sqrt_gram(h))
+    c = concurrence_closed(x, a, statistics)
+    u = u_eigen_closed(x, a, statistics)
     if statistics == "bosonic":
         _check_branch(a, h, f_boundary(a), u[1], u[2])
     e, branch = emax_and_branch(u)
-    return RegionReport(concurrence=c, emax=e, branch=branch, region=_region(c, e))
-
-
-class NoMixingResult(NamedTuple):
-    c: float
-    emax: float
-
-
-def no_mixing_case(X: HybridMatrix, alpha_sq: float) -> NoMixingResult:
-    """Special case of a diagonal Gram matrix: no polarization which-path mixing.
-
-    The concurrence reduces to the product of the diagonal fluctuation terms
-    and the CHSH maximum to the pure-state-like relation 2 sqrt(1 + C^2);
-    both are cross-checked against the general pipeline.
-    """
-    gram = X.gram
-    if abs(gram[0, 1]) > 1e-12:
-        raise ValueError(f"no-mixing case requires a diagonal Gram matrix, off-diagonal {gram[0, 1]}")
-    g_hh, g_vv = gram[0, 0].real, gram[1, 1].real
-    den = g_hh + g_vv - 2.0 * g_hh * g_vv
-    require_coincidences(2.0 * den)
-    c = 2.0 * alpha_sq * np.sqrt(max(0.0, g_hh * (1.0 - g_hh) * g_vv * (1.0 - g_vv))) / den
-    e = 2.0 * np.sqrt(1.0 + c**2)
-    c_general = concurrence_closed(X, alpha_sq)
-    e_general, _ = emax_and_branch(u_eigen_closed(X, alpha_sq))
-    if abs(c - c_general) > 1e-10 or abs(e - e_general) > 1e-10:
-        raise ConsistencyError(
-            f"no-mixing formulas disagree with the general pipeline: "
-            f"C {c} vs {c_general}, E {e} vs {e_general}"
-        )
-    return NoMixingResult(c=float(c), emax=float(e))
-
-
-class ScanRow(NamedTuple):
-    alpha_sq: float
-    hv_sq: float
-    concurrence: float
-    emax: float
-    branch: str
-    region: str
+    return ScanRow(a, h, c, e, branch, _region(c, e))
 
 
 def scan_grid(n_alpha: int, n_hv: int, statistics: str = "bosonic") -> list[ScanRow]:

@@ -21,11 +21,9 @@ __all__ = [
     "SIGMA_Z",
     "SIGMA_IN",
     "PAULIS",
-    "pauli",
     "as_cmat",
     "dagger",
     "det2",
-    "per2",
     "tilde2",
     "max_abs",
     "first_where",
@@ -85,17 +83,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_IN = (SIGMA_X + 1j * SIGMA_Y) / 2
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-_PAULI_BY_AXIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return a copy of the Pauli matrix for ``axis`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI_BY_AXIS[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-
-
 def as_cmat(a, n: int) -> np.ndarray:
     """Validate ``a`` as an n x n complex matrix with finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -113,11 +100,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def det2(a: np.ndarray) -> complex:
     """Determinant of a 2x2 matrix: diagonal product minus cross product."""
     return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-
-
-def per2(a: np.ndarray) -> complex:
-    """Permanent of a 2x2 matrix: diagonal product plus cross product."""
-    return a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0]
 
 
 def tilde2(a: np.ndarray) -> np.ndarray:

@@ -89,18 +89,6 @@ class PolarizationState:
         _validate_density(m, tol, check_rank=False)
         return cls(m)
 
-    def to_json(self) -> dict:
-        """Matrix in the shared JSON format plus the build provenance block."""
-        from .smallmat import mat_to_json
-
-        return {
-            "rho": mat_to_json(self.rho),
-            "provenance": {
-                "alpha_sq": self.alpha_sq,
-                "statistics": self.gammas.statistics if self.gammas is not None else None,
-            },
-        }
-
 
 def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> None:
     if max_abs(rho - dagger(rho)) > 1e-12:

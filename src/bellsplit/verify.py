@@ -43,7 +43,7 @@ class SuiteResult:
             self.max_dev = float(dev)
 
 
-def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteResult]:
+def run_campaign(count: int, seed: int) -> list[SuiteResult]:
     """Run every cross-route invariant on ``count`` seeded Haar instances."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -63,10 +63,9 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
         "polar_roundtrip": SuiteResult("polar_roundtrip", 0, 0.0, 1e-10),
         "semi_polar": SuiteResult("semi_polar", 0, 0.0, 1e-10),
         "canonicalize": SuiteResult("canonicalize", 0, 0.0, 1e-10),
+        "bruteforce_gap": SuiteResult("bruteforce_gap", 0, 0.0, 1e-4),
+        "bruteforce_excess": SuiteResult("bruteforce_excess", 0, 0.0, 1e-6),
     }
-    if bruteforce:
-        suites["bruteforce_gap"] = SuiteResult("bruteforce_gap", 0, 0.0, 1e-4)
-        suites["bruteforce_excess"] = SuiteResult("bruteforce_excess", 0, 0.0, 1e-6)
 
     for i in range(count):
         # Drawn first, so that an instance that raises leaves later draws unchanged.
@@ -111,7 +110,7 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
 
                 u = bell.u_eigen_closed(x, a)
                 u_closed = np.sort(u)
-                corr = bell.correlation_matrix(rho).r
+                corr = bell.correlation_matrix(rho)
                 u_num = np.sort(np.linalg.eigvalsh(corr.T @ corr))
                 suites["bell_spectrum"].absorb(np.abs(u_closed - u_num).max())
                 if sp is not None:
@@ -125,11 +124,10 @@ def run_campaign(count: int, seed: int, bruteforce: bool = True) -> list[SuiteRe
                 if a == 1.0:
                     suites["gisin_pure"].absorb(abs(e_closed - 2.0 * np.sqrt(1.0 + c_closed**2)))
 
-            if bruteforce:
-                # The ladder ends on the random alpha: rho, corr and e_h belong to it.
-                e_bf = bell.chsh_bruteforce(rho, corr)
-                suites["bruteforce_gap"].absorb(max(0.0, e_h - e_bf))
-                suites["bruteforce_excess"].absorb(max(0.0, e_bf - e_h))
+            # The ladder ends on the random alpha: rho, corr and e_h belong to it.
+            e_bf = bell.chsh_bruteforce(rho, corr)
+            suites["bruteforce_gap"].absorb(max(0.0, e_h - e_bf))
+            suites["bruteforce_excess"].absorb(max(0.0, e_bf - e_h))
 
             try:
                 factors = scattering.polar_decompose_s(sm)

@@ -71,7 +71,7 @@ def test_criterion_2_bell_spectrum_three_way():
         for a in ALPHAS:
             closed = np.sort(bell.u_eigen_closed(x, a))
             rho = state.build_rho(g, a)
-            r = bell.correlation_matrix(rho).r
+            r = bell.correlation_matrix(rho)
             direct = np.sort(np.linalg.eigvalsh(r.T @ r))
             sparse = np.sort(np.asarray(decomp.r_prime(sp, a, state.normalization(g, a)).eigenvalues_squared()))
             worst_direct = max(worst_direct, float(np.abs(closed - direct).max()))
@@ -95,7 +95,7 @@ def test_criterion_3_bruteforce_vs_horodecki():
         sm = scattering.make_scattering(haar_unitary(4, 7_100_000 + i))
         g = scattering.gammas(sm)
         rho = state.build_rho(g, float(rng.uniform(0.0, 1.0)))
-        r = bell.correlation_matrix(rho).r
+        r = bell.correlation_matrix(rho)
         w = np.sort(np.linalg.eigvalsh(r.T @ r))
         e_h = 2.0 * np.sqrt(w[2] + w[1])
         e_bf = bell.chsh_bruteforce(rho, r)
@@ -121,7 +121,7 @@ def test_criterion_4_pure_state_gisin_relation():
         u1, u2, u3 = bell.u_eigen_closed(x, 1.0)
         e_closed = 2.0 * np.sqrt(u1 + max(u2, u3))
         rho = state.build_rho(g, 1.0)
-        r = bell.correlation_matrix(rho).r
+        r = bell.correlation_matrix(rho)
         w = np.sort(np.linalg.eigvalsh(r.T @ r))
         e_num = 2.0 * np.sqrt(w[2] + w[1])
         target = 2.0 * np.sqrt(1.0 + c * c)

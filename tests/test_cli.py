@@ -316,6 +316,27 @@ class TestMalformedConfig:
         assert "unknown preset '5'" in err
 
     @pytest.mark.parametrize(
+        "scattering, alpha, message",
+        [
+            ({"file": ["a"]}, {"alpha_sq": 0.5}, "scattering 'file' must be a file path string, got ['a']"),
+            # An integer was opened as a file descriptor: 0 read the matrix from stdin.
+            ({"file": 0}, {"alpha_sq": 0.5}, "scattering 'file' must be a file path string, got 0"),
+            ({"preset": "balanced_pc"}, dict(gaussian_pair(1.0, 1.0, "infinite"), psi={"csv": ["a"]}),
+             "'psi' 'csv' must be a file path string, got ['a']"),
+            ({"preset": "balanced_pc"}, dict(gaussian_pair(1.0, 1.0, "infinite"), phi={"csv": 0}),
+             "'phi' 'csv' must be a file path string, got 0"),
+        ],
+        ids=["file-list", "file-descriptor", "csv-list", "csv-descriptor"],
+    )
+    def test_non_string_path(self, tmp_path, capsys, scattering, alpha, message):
+        # A list ended in a TypeError traceback (exit 1).
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": scattering, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "alpha, message",
         [
             (dict(gaussian_pair(1.0, 1.0, "infinite"), psi={"gaussian": 1.0}),
@@ -373,6 +394,12 @@ class TestVerify:
     def test_zero_count_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--count", "0")
         assert code == 2
+
+    def test_negative_seed_usage_error(self, capsys):
+        # PCG64 rejects a negative seed; it ended in a traceback with exit 1.
+        code, out, err = run(capsys, "verify", "--count", "2", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be nonnegative, got -1\n"
 
     def test_byte_identical_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

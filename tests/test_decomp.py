@@ -1,17 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from bellsplit.bell import correlation_matrix, u_eigen_closed
-from bellsplit.decomp import (
-    DegenerateXi,
-    RPrime,
-    SemiPolar,
-    consistency_check,
-    r_prime,
-    semi_polar,
-)
-from bellsplit.scattering import GammaPair, gammas, hybrid, make_scattering, preset
-from bellsplit.smallmat import SIGMA_Y, dagger, haar_unitary, max_abs, tilde2
+from bellsplit.decomp import DegenerateXi, SemiPolar, r_prime, semi_polar
+from bellsplit.scattering import GammaPair, HybridMatrix, gammas, hybrid, make_scattering, preset
+from bellsplit.smallmat import SIGMA_Y, SIGMA_Z, dagger, haar_unitary, herm_eigen, max_abs, tilde2
 from bellsplit.state import build_rho, normalization
 
 
@@ -23,6 +18,67 @@ def pipeline(seed):
 def make_q(c1, c2):
     c3 = (1.0 - c1**2) / c2
     return np.array([[c1, c2], [c3, -c1]])
+
+
+class ConsistencyRecord(NamedTuple):
+    """Spectral-route quantities of the hybrid Gram matrix and a real coupling solution."""
+
+    lambdas: np.ndarray  # eigenvalues of the Gram matrix, descending
+    xi: np.ndarray  # (lam1 (1 - lam2), lam2 (1 - lam1))
+    inner: float  # Tr gamma1† gamma2 via the eigenbasis weights
+    c1: float  # cos(2 eta) from the eigenvector overlaps
+    couple_product: float
+    couple_square_sum: float
+    a12: float
+    a21: float
+
+
+def consistency_check(X: HybridMatrix) -> ConsistencyRecord:
+    """Verify the spectral route to xi and c1 and solve for the real couplings.
+
+    Diagonalizing the hybrid Gram matrix gives xi and c1 = cos 2 eta directly,
+    where cos eta is the modulus of the eigenbasis overlap. The two quadratic
+    constraints on the off-diagonal couplings always admit a real solution
+    (their discriminant is the arithmetic-geometric mean gap); one solution is
+    returned.
+    """
+    eig = herm_eigen(X.gram)
+    lam = np.clip(eig.eigenvalues, 0.0, 1.0)
+    w = dagger(eig.eigenvectors)  # rows indexed by eigenvalue
+    xi = np.array([lam[0] * (1.0 - lam[1]), lam[1] * (1.0 - lam[0])])
+
+    if abs(abs(w[0, 0]) - abs(w[1, 1])) > 1e-10 or abs(abs(w[0, 1]) - abs(w[1, 0])) > 1e-10:
+        raise ValueError("eigenbasis moduli violate 2x2 unitarity")
+    inner = float(
+        lam[0] * (abs(w[0, 0]) ** 2 - abs(w[0, 1]) ** 2)
+        + lam[1] * (abs(w[1, 0]) ** 2 - abs(w[1, 1]) ** 2)
+    )
+    inner_direct = float(np.trace(SIGMA_Z @ X.gram).real)
+    if abs(inner - inner_direct) > 1e-10:
+        raise ValueError("eigenbasis route to the inner product disagrees with the direct trace")
+    c1 = 2.0 * min(abs(w[0, 0]), 1.0) ** 2 - 1.0  # cos 2 eta
+
+    sin_sq_2eta = 1.0 - c1**2
+    geo = np.sqrt(max(0.0, lam[0] * lam[1] * (1.0 - lam[0]) * (1.0 - lam[1])))
+    ari = lam[0] * (1.0 - lam[0]) + lam[1] * (1.0 - lam[1])
+    if 2.0 * geo > ari + 1e-12:
+        raise ValueError("arithmetic-geometric mean inequality violated")
+    product = sin_sq_2eta * geo
+    square_sum = sin_sq_2eta * ari
+    disc = np.sqrt(max(0.0, square_sum**2 - 4.0 * product**2))
+    y_plus = (square_sum + disc) / 2.0
+    a12 = np.sqrt(max(0.0, y_plus))
+    a21 = product / a12 if a12 > 0.0 else 0.0
+    return ConsistencyRecord(
+        lambdas=lam,
+        xi=xi,
+        inner=inner,
+        c1=c1,
+        couple_product=product,
+        couple_square_sum=square_sum,
+        a12=float(a12),
+        a21=float(a21),
+    )
 
 
 class TestSemiPolar:
@@ -148,8 +204,8 @@ class TestRPrime:
             q=np.array([[0.0, 1.0], [1.0, 0.0]]),
         )
         rp = r_prime(sp, 0.5, 1.0)
-        assert rp.r13 == 0.0
-        assert rp.r31 == 0.0
+        assert rp.matrix[0, 2] == 0.0
+        assert rp.matrix[2, 0] == 0.0
 
     def test_balanced_pure_interference_entry(self):
         g = gammas(preset("balanced_mixing", 0.4))
@@ -157,7 +213,7 @@ class TestRPrime:
         n = normalization(g, 1.0)
         rp = r_prime(sp, 1.0, n)
         u3 = u_eigen_closed(hybrid(preset("balanced_mixing", 0.4)), 1.0)[2]
-        assert rp.r22**2 == pytest.approx(u3, abs=1e-10)
+        assert rp.matrix[1, 1] ** 2 == pytest.approx(u3, abs=1e-10)
 
     def test_three_way_spectrum(self):
         # Capstone: closed eigenvalues, the direct tensor spectrum and the
@@ -173,7 +229,7 @@ class TestRPrime:
             a = float(np.linspace(0.05, 0.95, 200)[i])
             closed = np.sort(u_eigen_closed(x, a))
             rho = build_rho(g, a)
-            r = correlation_matrix(rho).r
+            r = correlation_matrix(rho)
             direct = np.sort(np.linalg.eigvalsh(r.T @ r))
             rp = r_prime(sp, a, normalization(g, a))
             sparse = np.sort(np.asarray(rp.eigenvalues_squared()))
@@ -183,15 +239,3 @@ class TestRPrime:
             assert np.abs(full_sparse - sparse).max() <= 1e-10
         assert done > 180
 
-
-def test_debug_json_dumps():
-    import json
-
-    g, _ = pipeline(529_000)
-    sp = semi_polar(g)
-    sp_payload = json.loads(json.dumps(sp.to_json()))
-    assert sp_payload["format"] == "debug-v1"
-    rp = r_prime(sp, 0.4, normalization(g, 0.4))
-    rp_payload = json.loads(json.dumps(rp.to_json()))
-    assert rp_payload["format"] == "debug-v1"
-    assert rp_payload["r22"] == pytest.approx(rp.r22)

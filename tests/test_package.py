@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellsplit
+from bellsplit import bell, cli, regions, scattering, smallmat
 
 
 def test_all_lists_only_reexported_public_names():
@@ -51,3 +55,88 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     probe = "import sys, bellsplit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+SRC = Path(bellsplit.__file__).resolve().parent
+
+#: Definitions in src/bellsplit that no product path below reaches, and why each stays.
+UNREACHED = {
+    "smallmat.first_where": "names the failing cell when an array gate trips; error path only",
+    "scattering.NotUnitary.__init__": "raised only for a matrix that is not unitary; error path only",
+    "cli.entrypoint": "the console script; the paths below call cli.main",
+    "state.PolarizationState.from_matrix": "tests build Bell, Werner and product states with it",
+}
+
+
+def _definitions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> dotted name of every function and method in src/bellsplit.
+
+    The first line is the one a code object reports: that of its first decorator, if any.
+    """
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+def _product_paths(tmp: Path) -> None:
+    """The CLI commands on valid input and the library calls of the benchmark."""
+    matrix = tmp / "s.json"
+    matrix.write_text(json.dumps(smallmat.mat_to_json(smallmat.haar_unitary(4, 7))))
+    omega = np.linspace(-6.0, 6.0, 201).tolist()
+    packet = tmp / "phi.csv"
+    packet.write_text("omega,re,im\n" + "".join(f"{w!r},{math.exp(-w * w / 2)!r},0.0\n" for w in omega))
+    gaussian = {"gaussian": {"center": 0.0, "width": 1.0, "delay": 0.3}}
+    configs = [{"scattering": {"file": str(matrix)}, "alpha": {"alpha_sq": 0.4}, "statistics": "fermionic"}]
+    for window in ("infinite", {"t": 0.1, "tau": 2.5}):
+        alpha = {"psi": gaussian, "phi": {"csv": str(packet)}, "window": window}
+        configs.append({"scattering": {"preset": "balanced_mixing", "theta": 0.6}, "alpha": alpha})
+    runs = [["analyze", "--preset", p, "--alpha-sq", "0.37"] for p in ("identity", "balanced_pc", "balanced_mixing(0.3)")]
+    for i, config in enumerate(configs):
+        path = tmp / f"cfg{i}.json"
+        path.write_text(json.dumps(config))
+        runs.append(["analyze", "--config", str(path)])
+    runs += [["scan", "--grid", "12x12", "--statistics", s] for s in scattering.STATISTICS]
+    runs.append(["verify", "--count", "3"])
+    for argv in runs:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out", str(tmp / "out")]) == 0, argv
+    bell.emax(scattering.hybrid(scattering.preset("balanced_mixing", 0.6)), 0.5)
+    regions.balanced_emax(regions.BalancedPoint(0.5, 0.1))
+
+
+def test_every_definition_in_src_is_reached_by_a_product_path(tmp_path):
+    # Code that only tests reach belongs in tests/, as a reference route or not at all.
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    # A memoized function that an earlier test called would not be entered again.
+    for module in [m for name, m in sys.modules.items() if name.startswith("bellsplit.")]:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _product_paths(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    reached = {(str(Path(f).resolve()), line) for f, line in reached}
+    unreached = {name for key, name in _definitions().items() if key not in reached}
+    assert sorted(unreached - UNREACHED.keys()) == [], "reached by no product path"
+    assert sorted(UNREACHED.keys() - unreached) == [], "reached, so no longer an exception"

@@ -1,24 +1,39 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from bellsplit import regions as regions_mod
-from bellsplit.bell import emax, u_eigen_closed
+from bellsplit.bell import emax, emax_and_branch, u_eigen_closed
 from bellsplit.regions import (
     BOUNDARY_BAND,
     BalancedPoint,
-    balanced_concurrence,
     balanced_emax,
     balanced_gram,
     f_boundary,
     g_boundary,
-    no_mixing_case,
-    realize_balanced,
     scan_grid,
     scan_to_csv,
 )
 from bellsplit.scattering import HybridMatrix, gammas, hybrid, realize_hybrid
-from bellsplit.state import ZeroCoincidence, concurrence_closed, concurrence_wootters, build_rho
+from bellsplit.state import (
+    ZeroCoincidence,
+    build_rho,
+    concurrence_closed,
+    concurrence_wootters,
+    require_coincidences,
+)
 from bellsplit.smallmat import ConsistencyError, max_abs
+
+
+def slice_concurrence(p):
+    """Bosonic concurrence on the balanced slice, a (1 - 4 h) / (1 - 4 a h).
+
+    On the slice the mixture norm is 1 - 4 a h; the formula is specific to
+    bunching statistics.
+    """
+    a, h = p.alpha_sq, p.hv_sq
+    return float(a * (1.0 - 4.0 * h) / require_coincidences(1.0 - 4.0 * a * h))
 
 
 class TestBoundaries:
@@ -76,7 +91,7 @@ def test_closed_forms_agree_on_empty_ensemble(norm):
     calls = [
         lambda: concurrence_closed(x, 1.0),
         lambda: u_eigen_closed(x, 1.0),
-        lambda: balanced_concurrence(p),
+        lambda: slice_concurrence(p),
         lambda: balanced_emax(p),
     ]
     raised = []
@@ -110,15 +125,28 @@ class TestBalancedPoint:
 class TestBalancedConcurrence:
     def test_full_mixing_kills_entanglement(self):
         for a in (0.0, 0.4, 0.99):
-            assert balanced_concurrence(BalancedPoint(a, 0.25)) == pytest.approx(0.0, abs=1e-12)
+            assert slice_concurrence(BalancedPoint(a, 0.25)) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_mixing_equals_alpha_sq(self):
         for a in (0.0, 0.3, 1.0):
-            assert balanced_concurrence(BalancedPoint(a, 0.0)) == pytest.approx(a, abs=1e-12)
+            assert slice_concurrence(BalancedPoint(a, 0.0)) == pytest.approx(a, abs=1e-12)
 
     def test_corner_raises(self):
         with pytest.raises(ZeroCoincidence):
-            balanced_concurrence(BalancedPoint(1.0, 0.25))
+            slice_concurrence(BalancedPoint(1.0, 0.25))
+
+    def test_slice_formula_matches_balanced_emax(self):
+        # The slice formula is an oracle for the general closed form that balanced_emax takes C from.
+        for a in np.linspace(0.0, 1.0, 61).tolist():
+            for h in np.linspace(0.0, 0.25, 61).tolist():
+                p = BalancedPoint(a, h)
+                try:
+                    c = slice_concurrence(p)
+                except ZeroCoincidence:
+                    with pytest.raises(ZeroCoincidence):
+                        balanced_emax(p)
+                    continue
+                assert abs(balanced_emax(p).concurrence - c) <= 1e-14, (a, h)
 
     def test_matches_explicit_splitter(self):
         # Construction oracle: realize the balanced Gram matrix as an actual
@@ -126,10 +154,10 @@ class TestBalancedConcurrence:
         rng = np.random.Generator(np.random.PCG64(8))
         for _ in range(25):
             p = BalancedPoint(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.24)))
-            sm = realize_balanced(p)
+            sm = realize_hybrid(balanced_gram(p.hv_sq))
             x = hybrid(sm)
             assert max_abs(x.gram - balanced_gram(p.hv_sq)) <= 1e-10
-            slice_value = balanced_concurrence(p)
+            slice_value = slice_concurrence(p)
             assert slice_value == pytest.approx(concurrence_closed(x, p.alpha_sq), abs=1e-10)
             rho = build_rho(gammas(sm), p.alpha_sq)
             assert slice_value == pytest.approx(concurrence_wootters(rho), abs=1e-8)
@@ -156,14 +184,14 @@ class TestBalancedEmax:
             for h in np.linspace(0.0, f_boundary(a) - 1e-6, 7):
                 p = BalancedPoint(a, float(h))
                 rep = balanced_emax(p)
-                formula = 2.0 * balanced_concurrence(p) * np.sqrt(1.0 + a**2) / a
+                formula = 2.0 * slice_concurrence(p) * np.sqrt(1.0 + a**2) / a
                 assert rep.emax == pytest.approx(formula, abs=1e-10)
 
     def test_oracle_against_full_pipeline(self):
         rng = np.random.Generator(np.random.PCG64(9))
         for _ in range(10):
             p = BalancedPoint(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 0.24)))
-            sm = realize_balanced(p)
+            sm = realize_hybrid(balanced_gram(p.hv_sq))
             rep = balanced_emax(p)
             full = emax(hybrid(sm), p.alpha_sq, gamma_pair=gammas(sm))
             assert rep.emax == pytest.approx(full.emax_horodecki, abs=1e-8)
@@ -178,7 +206,7 @@ class TestBalancedEmax:
     def test_fermionic_matches_general_route(self):
         for a, h in ((0.4, 0.03), (0.9, 0.2)):
             p = BalancedPoint(a, h)
-            sm = realize_balanced(p)
+            sm = realize_hybrid(balanced_gram(p.hv_sq))
             g = gammas(sm, "fermionic")
             rep = balanced_emax(p, "fermionic")
             assert rep.concurrence == pytest.approx(
@@ -186,6 +214,36 @@ class TestBalancedEmax:
             )
             full = emax(hybrid(sm), a, gamma_pair=g)
             assert rep.emax == pytest.approx(full.emax_horodecki, abs=1e-8)
+
+
+class NoMixingResult(NamedTuple):
+    c: float
+    emax: float
+
+
+def no_mixing_case(X: HybridMatrix, alpha_sq: float) -> NoMixingResult:
+    """Special case of a diagonal Gram matrix: no polarization which-path mixing.
+
+    The concurrence reduces to the product of the diagonal fluctuation terms
+    and the CHSH maximum to the pure-state-like relation 2 sqrt(1 + C^2);
+    both are cross-checked against the general pipeline.
+    """
+    gram = X.gram
+    if abs(gram[0, 1]) > 1e-12:
+        raise ValueError(f"no-mixing case requires a diagonal Gram matrix, off-diagonal {gram[0, 1]}")
+    g_hh, g_vv = gram[0, 0].real, gram[1, 1].real
+    den = g_hh + g_vv - 2.0 * g_hh * g_vv
+    require_coincidences(2.0 * den)
+    c = 2.0 * alpha_sq * np.sqrt(max(0.0, g_hh * (1.0 - g_hh) * g_vv * (1.0 - g_vv))) / den
+    e = 2.0 * np.sqrt(1.0 + c**2)
+    c_general = concurrence_closed(X, alpha_sq)
+    e_general, _ = emax_and_branch(u_eigen_closed(X, alpha_sq))
+    if abs(c - c_general) > 1e-10 or abs(e - e_general) > 1e-10:
+        raise ConsistencyError(
+            f"no-mixing formulas disagree with the general pipeline: "
+            f"C {c} vs {c_general}, E {e} vs {e_general}"
+        )
+    return NoMixingResult(c=float(c), emax=float(e))
 
 
 class TestNoMixing:

@@ -112,9 +112,14 @@ class TestBuildRho:
             with pytest.raises(ZeroCoincidence):
                 require_coincidences(norm)
 
+    def test_records_provenance(self):
+        g, _ = pipeline(399_000)
+        state = build_rho(g, 0.25)
+        assert state.alpha_sq == 0.25 and state.gammas is g
+
     def test_from_matrix_allows_full_rank(self):
         state = PolarizationState.from_matrix(np.eye(4) / 4.0)
-        assert state.gammas is None
+        assert state.gammas is None and state.alpha_sq is None
 
     def test_from_matrix_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -273,15 +278,3 @@ class TestReport:
             rep = concurrence_report(g, x, a)
             assert rep.classical_prob == mandel_dip(x, a).classical_prob
             assert rep.mandel_dip == rep.coincidence_prob - rep.classical_prob
-
-
-class TestSerialization:
-    def test_state_json_carries_provenance(self):
-        g, x = pipeline(399_000)
-        payload = build_rho(g, 0.25).to_json()
-        assert payload["provenance"] == {"alpha_sq": 0.25, "statistics": "bosonic"}
-        assert payload["rho"]["rows"] == 4
-
-    def test_external_state_has_empty_provenance(self):
-        payload = PolarizationState.from_matrix(np.eye(4) / 4.0).to_json()
-        assert payload["provenance"] == {"alpha_sq": None, "statistics": None}
