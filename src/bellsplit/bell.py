@@ -71,7 +71,7 @@ class AnalyzerSetting:
 
 def coincidence_probs(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSetting) -> np.ndarray:
     """Joint outcome probabilities (p_HH, p_HV, p_VH, p_VV) after local mixing."""
-    u = np.kron(rl.rotation, rr.rotation)
+    u = (rl.rotation[:, None, :, None] * rr.rotation[None, :, None, :]).reshape(4, 4)  # rl x rr
     rotated = u @ state.rho @ dagger(u)
     return np.diag(rotated).real.copy()
 
@@ -83,36 +83,34 @@ def correlator_e(state: PolarizationState, rl: AnalyzerSetting, rr: AnalyzerSett
     return float((p[0] + p[3] - p[1] - p[2]) / total)
 
 
+_SIGMAS = np.array(PAULIS)
+#: Row 3k + l is (sigma_k x sigma_l)^T flattened: Tr rho (sigma_k x sigma_l) is its dot with rho flattened.
+_PAULI_PAIRS = np.array([np.kron(pk, pl).T.ravel() for pk in PAULIS for pl in PAULIS])
+
+
 def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> np.ndarray:
     """3x3 real correlation tensor R_kl = Tr rho sigma_k x sigma_l by direct traces.
 
     When the state carries its build provenance the amplitude-form expression
     is evaluated too; disagreement beyond ``tol`` raises ConsistencyError.
     """
-    rho = state.rho
-    r = np.empty((3, 3))
-    for k in range(3):
-        for l in range(3):
-            r[k, l] = np.trace(rho @ np.kron(PAULIS[k], PAULIS[l])).real
+    # Bit-equal to the 4x4 traces (same pairwise sums); copied, as matmuls round by memory layout.
+    r = (_PAULI_PAIRS * state.rho.ravel()).sum(axis=1).real.reshape(3, 3).copy()
     if np.abs(r).max() > 1.0 + tol:
         raise ConsistencyError(f"correlation tensor entry exceeds 1: max |R_kl| = {np.abs(r).max()}")
     if state.gammas is not None and state.alpha_sq is not None:
-        g1, g2 = state.gammas.gamma1, state.gammas.gamma2
-        a = state.alpha_sq
-        norm = normalization(state.gammas, a)
-        rg = np.empty((3, 3))
-        for k in range(3):
-            for l in range(3):
-                rg[k, l] = (
-                    (1.0 + a) * np.trace(dagger(g1) @ PAULIS[k] @ g1 @ PAULIS[l].T)
-                    + (1.0 - a) * np.trace(dagger(g2) @ PAULIS[k] @ g2 @ PAULIS[l].T)
-                ).real / norm
-        defect = np.abs(r - rg).max()
+        defect = np.abs(r - _correlation_from_gammas(state.gammas, state.alpha_sq)).max()
         if defect > tol:
             raise ConsistencyError(
                 f"correlation tensor routes disagree: max deviation {defect:.3e} > {tol:.1e}"
             )
     return r
+
+
+def _correlation_from_gammas(g: GammaPair, a: float) -> np.ndarray:
+    """R_kl in amplitude form: (1 + a) Tr(g1† sigma_k g1 sigma_l^T) + (1 - a) (same of g2), over the norm."""
+    t1, t2 = (np.einsum("ba,kbc,cd,lad->kl", gm.conj(), _SIGMAS, gm, _SIGMAS) for gm in (g.gamma1, g.gamma2))
+    return ((1.0 + a) * t1 + (1.0 - a) * t2).real / normalization(g, a)
 
 
 #: math.hypot entry by entry: np.hypot rounds otherwise on a fraction of a

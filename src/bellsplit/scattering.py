@@ -180,6 +180,8 @@ def preset(name: str, theta: float | None = None) -> ScatteringMatrix:
                          the polarization by ``theta``; the reflected ones do
                          not, so the off-diagonal Gram entry is sin(theta)/2.
     """
+    if theta is not None and name in ("identity", "balanced_pc"):
+        raise ValueError(f"preset {name!r} takes no angle, got {theta!r}")
     if name == "identity":
         return ScatteringMatrix(np.eye(4, dtype=complex))
     if name == "balanced_pc":

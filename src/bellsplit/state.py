@@ -41,6 +41,7 @@ __all__ = [
 #: Mixture norm (twice the coincidence probability) at or below which the
 #: postselected ensemble counts as empty.
 _N_FLOOR = 2e-14
+_YY = np.kron(SIGMA_Y, SIGMA_Y)  # the spin flip of Wootters' rho~
 
 
 class ZeroCoincidence(ValueError):
@@ -173,8 +174,7 @@ def concurrence_wootters(state: PolarizationState) -> float:
     equivalent of the non-Hermitian product.
     """
     sqrt_rho = sqrt_psd(state.rho)
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    a = sqrt_rho @ yy @ sqrt_rho.T
+    a = sqrt_rho @ _YY @ sqrt_rho.T
     s = np.linalg.svd(a, compute_uv=False)
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 

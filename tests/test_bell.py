@@ -12,9 +12,10 @@ from bellsplit.bell import (
     emax,
     u_eigen_closed,
 )
-from bellsplit.scattering import gammas, hybrid, make_scattering, preset
-from bellsplit.smallmat import PAULIS, SIGMA_Z, dagger, haar_unitary, max_abs
-from bellsplit.state import PolarizationState, ZeroCoincidence, build_rho
+from bellsplit.scattering import STATISTICS, gammas, hybrid, make_scattering, preset
+from bellsplit.smallmat import PAULIS, SIGMA_Z, ConsistencyError, dagger, haar_unitary, max_abs
+from bellsplit.state import PolarizationState, ZeroCoincidence, build_rho, normalization
+from bellsplit.verify import ALPHA_LADDER
 
 BELL_PHI_PLUS = np.zeros((4, 4), complex)
 BELL_PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -38,6 +39,32 @@ def correlator_e_trace(state, rl, rr):
     """Trace oracle for the count-ratio correlator: Tr rho (O_l x O_r) with O = rotation† sigma_z rotation."""
     obs = np.kron(observable(rl), observable(rr))
     return float(np.trace(state.rho @ obs).real)
+
+
+def correlation_traces(state):
+    """Trace oracle for both routes of the correlation tensor, 18 Python-level traces.
+
+    Returns (direct, amplitude): R_kl = Tr rho (sigma_k x sigma_l), and the same tensor as
+    (1 + a) Tr(g1† sigma_k g1 sigma_l^T) + (1 - a) Tr(g2† sigma_k g2 sigma_l^T) over the norm.
+    """
+    r = np.empty((3, 3))
+    rg = np.empty((3, 3))
+    g1, g2, a = state.gammas.gamma1, state.gammas.gamma2, state.alpha_sq
+    norm = normalization(state.gammas, a)
+    for k in range(3):
+        for l in range(3):
+            r[k, l] = np.trace(state.rho @ np.kron(PAULIS[k], PAULIS[l])).real
+            rg[k, l] = (
+                (1.0 + a) * np.trace(dagger(g1) @ PAULIS[k] @ g1 @ PAULIS[l].T)
+                + (1.0 - a) * np.trace(dagger(g2) @ PAULIS[k] @ g2 @ PAULIS[l].T)
+            ).real / norm
+    return r, rg
+
+
+def coincidence_probs_kron(state, rl, rr):
+    """coincidence_probs with the joint rotation formed by np.kron."""
+    u = np.kron(rl.rotation, rr.rotation)
+    return np.diag(u @ state.rho @ dagger(u)).real.copy()
 
 
 def pipeline(seed, alpha_sq, statistics="bosonic"):
@@ -194,6 +221,37 @@ class TestCorrelationMatrix:
         for i in range(100):
             _, _, rho = pipeline(450_000 + i, 0.71)
             correlation_matrix(rho)
+
+    def test_route_gate_fires(self):
+        # rho from one amplitude pair, provenance from another: the amplitude route
+        # reads only the provenance, so the two routes must disagree.
+        _, _, built = pipeline(451_000, 0.4)
+        _, other, _ = pipeline(451_001, 0.4)
+        state = PolarizationState(built.rho, alpha_sq=0.4, gammas=other)
+        with pytest.raises(ConsistencyError, match="correlation tensor routes disagree"):
+            correlation_matrix(state)
+
+    def test_entry_gate_fires(self):
+        # Trace 2: R = diag(2, -2, 2), which no density matrix reaches.
+        state = PolarizationState(2.0 * BELL_PHI_PLUS)
+        with pytest.raises(ConsistencyError, match="correlation tensor entry exceeds 1"):
+            correlation_matrix(state)
+
+    def test_routes_match_trace_oracle(self):
+        # 300 Haar splitters x both statistics x the verify ladder and one random alpha.
+        alphas = np.random.Generator(np.random.PCG64(452)).uniform(0.0, 1.0, size=300)
+        for i, extra in enumerate(alphas):
+            sm = make_scattering(haar_unitary(4, 452_000 + i))
+            rl = AnalyzerSetting(haar_unitary(2, 2 * i))
+            rr = AnalyzerSetting(haar_unitary(2, 2 * i + 1))
+            for statistics in STATISTICS:
+                g = gammas(sm, statistics)
+                for a in (*ALPHA_LADDER, float(extra)):
+                    state = build_rho(g, a)
+                    r, rg = correlation_traces(state)
+                    assert np.array_equal(correlation_matrix(state), r)  # bit for bit, see correlation_matrix
+                    assert max_abs(bell._correlation_from_gammas(g, a) - rg) <= 1e-15
+                    assert np.array_equal(coincidence_probs(state, rl, rr), coincidence_probs_kron(state, rl, rr))
 
 
 class TestClosedEigenvalues:

@@ -308,6 +308,24 @@ class TestMalformedConfig:
         assert code == 2
         assert "'alpha'" in err
 
+    # These exited 0 as if no angle were given, reporting scattering_source "preset:balanced_pc(1)".
+    @pytest.mark.parametrize(
+        "scattering, name",
+        [("balanced_pc(1)", "balanced_pc"), ("identity(7)", "identity"), ({"preset": "balanced_pc", "theta": 1}, "balanced_pc")],
+        ids=["balanced_pc-flag", "identity-flag", "balanced_pc-config"],
+    )
+    def test_preset_without_angle_rejects_one(self, tmp_path, capsys, scattering, name):
+        if isinstance(scattering, str):
+            argv = ["--preset", scattering, "--alpha-sq", "0.5"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"scattering": scattering, "alpha": {"alpha_sq": 0.5}}))
+            argv = ["--config", str(config)]
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"preset '{name}' takes no angle" in err
+
     def test_non_string_preset(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scattering": {"preset": 5}, "alpha": {"alpha_sq": 0.5}}))

@@ -57,6 +57,18 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_commands_call_no_kron(monkeypatch):
+    # The correlation tensor, the oracle's joint rotations and Wootters' spin flip come from
+    # tables built at import or from broadcasting; a np.kron per trace made the tensor ~12x slower.
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda *args, **kwargs: calls.append(args) or kron(*args, **kwargs))
+    for argv in (["verify", "--count", "2", "--seed", "0"], ["analyze", "--preset", "balanced_mixing(0.6)", "--alpha-sq", "0.37"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert calls == []
+
+
 SRC = Path(bellsplit.__file__).resolve().parent
 
 #: Definitions in src/bellsplit that no product path below reaches, and why each stays.
