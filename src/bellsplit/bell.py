@@ -19,7 +19,7 @@ import numpy as np
 from . import state as state_mod
 from .scattering import GammaPair, GramInvariants, HybridMatrix, gammas, realize_hybrid
 from .smallmat import ConsistencyError, PAULIS, as_cmat, dagger, first_where, is_unitary
-from .state import PolarizationState, closed_form_inputs, normalization
+from .state import PolarizationState, closed_form_inputs, mixture_norm
 
 __all__ = [
     "AnalyzerSetting",
@@ -110,7 +110,7 @@ def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> np.ndarr
 def _correlation_from_gammas(g: GammaPair, a: float) -> np.ndarray:
     """R_kl in amplitude form: (1 + a) Tr(g1† sigma_k g1 sigma_l^T) + (1 - a) (same of g2), over the norm."""
     t1, t2 = (np.einsum("ba,kbc,cd,lad->kl", gm.conj(), _SIGMAS, gm, _SIGMAS) for gm in (g.gamma1, g.gamma2))
-    return ((1.0 + a) * t1 + (1.0 - a) * t2).real / normalization(g, a)
+    return ((1.0 + a) * t1 + (1.0 - a) * t2).real / mixture_norm(g.invariants, a)
 
 
 #: math.hypot entry by entry: np.hypot rounds otherwise on a fraction of a

@@ -72,7 +72,7 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
     g1, g2 = g.gamma1, g.gamma2
     u0, s, v0 = svd2(g2)
     xi = s**2
-    t2 = float(np.trace(dagger(g2) @ g2).real)
+    t2 = g.invariants.t2
     tt2 = abs(np.trace(dagger(g2) @ tilde2(g2)))
     if abs((xi[0] + xi[1]) - t2) > 1e-10 * max(1.0, t2):
         raise ValueError("singular values inconsistent with the norm of gamma2")
@@ -83,7 +83,7 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
     if xi[1] < tol:
         raise DegenerateXi(f"smaller xi value {xi[1]:.3e} vanishes within {tol:.1e}")
 
-    inner = np.trace(dagger(g1) @ g2)
+    inner = g.invariants.c
     if abs(inner.imag) > 1e-8:
         raise ValueError(f"Tr gamma1† gamma2 = {inner} is not real; invalid amplitude pair")
     c1 = inner.real / (xi[0] - xi[1])

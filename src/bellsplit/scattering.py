@@ -38,7 +38,6 @@ __all__ = [
     "HybridMatrix",
     "GammaPair",
     "STATISTICS",
-    "TraceIdentities",
     "PolarFactors",
     "make_scattering",
     "preset",
@@ -101,6 +100,17 @@ class ScatteringMatrix:
         return self.s[2:4, 2:4]
 
 
+class GramInvariants(NamedTuple):
+    """(Tr g1† g1, Tr g2† g2, |Tr g1† g1~|, Tr g1† g2), as floats or as arrays over a Gram stack."""
+
+    t1: float
+    t2: float
+    tt: float
+    #: G_HH - G_VV on the Gram route. Complex on the amplitude route
+    #: (``GammaPair.invariants``): semi_polar checks its imaginary part.
+    c: float
+
+
 @dataclass(frozen=True, eq=False)
 class HybridMatrix:
     """2x2 matrix pairing the reflected-H and transmitted-V amplitudes on one side.
@@ -125,38 +135,26 @@ class HybridMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GammaPair:
-    """Symmetric / antisymmetric amplitude matrices of the scattered pair."""
+    """Symmetric / antisymmetric amplitude matrices of the scattered pair.
+
+    ``invariants`` holds the four traces taken from gamma1 and gamma2 alone,
+    formed once at construction; every reader of the amplitude route uses it.
+    """
 
     gamma1: np.ndarray
     gamma2: np.ndarray
     statistics: str = "bosonic"
+    invariants: GramInvariants = field(init=False)
 
-
-class GramInvariants(NamedTuple):
-    """(Tr g1† g1, Tr g2† g2, |Tr g1† g1~|, Tr g1† g2), as floats or as arrays over a Gram stack."""
-
-    t1: float
-    t2: float
-    tt: float
-    c: float
-
-
-class TraceSides(NamedTuple):
-    abs_tr_g1tg1: float
-    tr_g1g1: float
-    tr_g2g2: float
-    tr_g1g2: complex
-
-
-class TraceIdentities(NamedTuple):
-    """Both evaluation routes for the four scalar invariants.
-
-    ``gamma_side`` is computed directly from gamma1/gamma2; ``hybrid_side``
-    from the Gram matrix of the hybrid matrix. Callers assert their equality.
-    """
-
-    gamma_side: TraceSides
-    hybrid_side: TraceSides
+    def __post_init__(self):
+        g1, g2 = self.gamma1, self.gamma2
+        inv = GramInvariants(
+            float(np.trace(dagger(g1) @ g1).real),
+            float(np.trace(dagger(g2) @ g2).real),
+            abs(np.trace(dagger(g1) @ tilde2(g1))),
+            complex(np.trace(dagger(g1) @ g2)),
+        )
+        object.__setattr__(self, "invariants", inv)
 
 
 def make_scattering(s, tol: float = DEFAULT_TOLERANCES.identity) -> ScatteringMatrix:
@@ -269,19 +267,13 @@ def gram_invariants(gram, statistics: str) -> GramInvariants:
     return GramInvariants(*map(float, inv)) if gram.ndim == 2 else inv
 
 
-def trace_identities(sm: ScatteringMatrix) -> TraceIdentities:
-    """Evaluate the four scalar invariants on both the gamma and hybrid routes."""
+def trace_identities(sm: ScatteringMatrix) -> tuple[GramInvariants, GramInvariants]:
+    """The four scalar invariants by both routes: (from gamma1/gamma2, from the hybrid Gram matrix).
+
+    The two routes share no arithmetic; callers assert their equality.
+    """
     g = gammas(sm)
-    g1, g2 = g.gamma1, g.gamma2
-    gamma_side = TraceSides(
-        abs_tr_g1tg1=abs(np.trace(dagger(g1) @ tilde2(g1))),
-        tr_g1g1=float(np.trace(dagger(g1) @ g1).real),
-        tr_g2g2=float(np.trace(dagger(g2) @ g2).real),
-        tr_g1g2=complex(np.trace(dagger(g1) @ g2)),
-    )
-    t1, t2, tt, c = gram_invariants(hybrid(sm).gram, g.statistics)
-    hybrid_side = TraceSides(abs_tr_g1tg1=tt, tr_g1g1=t1, tr_g2g2=t2, tr_g1g2=complex(c))
-    return TraceIdentities(gamma_side, hybrid_side)
+    return g.invariants, hybrid(sm).invariants(g.statistics)
 
 
 def outgoing_matrix(sm: ScatteringMatrix, sigma) -> np.ndarray:

@@ -229,12 +229,15 @@ def mat_to_json(a) -> dict:
 def mat_from_json(obj: dict) -> np.ndarray:
     """Read a matrix from the JSON object form, rejecting malformed payloads."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re, im = obj["re"], obj["im"]
+        rows, cols, re, im = obj["rows"], obj["cols"], obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from None
-    if rows <= 0 or cols <= 0:
-        raise ValueError("matrix dimensions must be positive")
+    for key, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int or value <= 0:
+            raise ValueError(f"'{key}' must be a positive integer, got {value!r}")
+    for key, value in (("re", re), ("im", im)):
+        if type(value) is not list or any(type(v) not in (int, float) for v in value):
+            raise ValueError(f"'{key}' must be a flat list of numbers")
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ValueError(
             f"matrix payload length mismatch: expected {rows * cols} entries, "

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scattering import GammaPair, GramInvariants, HybridMatrix
-from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd, tilde2
+from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd
 
 __all__ = [
     "ZeroCoincidence",
@@ -24,7 +24,6 @@ __all__ = [
     "MandelDip",
     "vec",
     "build_rho",
-    "normalization",
     "require_coincidences",
     "empty_ensemble",
     "mixture_norm",
@@ -103,17 +102,10 @@ def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> None:
         raise ValueError(f"density matrix rank exceeds 2 (third eigenvalue {evals[2]:.3e})")
 
 
-def normalization(g: GammaPair, alpha_sq: float) -> float:
-    """Weighted norm of the two-term mixture (twice the coincidence probability)."""
-    t1 = float(np.trace(dagger(g.gamma1) @ g.gamma1).real)
-    t2 = float(np.trace(dagger(g.gamma2) @ g.gamma2).real)
-    return (1.0 + alpha_sq) * t1 + (1.0 - alpha_sq) * t2
-
-
 def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     """Build the postselected polarization density matrix from (gamma1, gamma2, |alpha|^2)."""
     check_alpha_sq(alpha_sq)
-    norm = require_coincidences(normalization(g, alpha_sq))
+    norm = require_coincidences(mixture_norm(g.invariants, alpha_sq))
     v1, v2 = vec(g.gamma1), vec(g.gamma2)
     rho = (
         (1.0 + alpha_sq) * np.outer(v1, v1.conj()) + (1.0 - alpha_sq) * np.outer(v2, v2.conj())
@@ -123,7 +115,7 @@ def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
 
 
 def mixture_norm(inv: GramInvariants, alpha_sq):
-    """(1 + a) t1 + (1 - a) t2, twice the coincidence probability; broadcasts over arrays."""
+    """(1 + a) t1 + (1 - a) t2 of either route's invariants, twice the coincidence probability; broadcasts."""
     return (1.0 + alpha_sq) * inv.t1 + (1.0 - alpha_sq) * inv.t2
 
 
@@ -160,10 +152,8 @@ def concurrence_closed(X: HybridMatrix, alpha_sq: float, statistics: str = "boso
 
 def concurrence_gamma(g: GammaPair, alpha_sq: float) -> float:
     """Concurrence from the amplitude matrices: 2 |alpha|^2 |Tr g1† g1~| / norm."""
-    norm = require_coincidences(normalization(g, alpha_sq))
-    tt = abs(np.trace(dagger(g.gamma1) @ tilde2(g.gamma1)))
-    c = 2.0 * alpha_sq * tt / norm
-    return float(min(max(c, 0.0), 1.0))
+    norm = require_coincidences(mixture_norm(g.invariants, alpha_sq))
+    return float(concurrence_from_invariants(g.invariants, alpha_sq, norm))
 
 
 def concurrence_wootters(state: PolarizationState) -> float:

@@ -20,9 +20,18 @@ from .scattering import DegenerateTransmission
 from .decomp import DegenerateXi
 from .smallmat import SIGMA_IN, dagger, haar_unitary, herm_eigen, max_abs, tilde2
 
-__all__ = ["SuiteResult", "run_campaign", "format_report", "ALPHA_LADDER"]
+__all__ = ["SuiteResult", "run_campaign", "format_report", "ALPHA_LADDER", "SUITE_TOLERANCES"]
 
 ALPHA_LADDER = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Suite name -> tolerance, in report order.
+SUITE_TOLERANCES = {
+    "trace_identities": 1e-10, "tilde_orthogonality": 1e-10, "concurrence_wootters": 1e-8,
+    "concurrence_gamma": 1e-10, "state_positivity": 1e-10, "mandel_identity": 1e-12,
+    "bell_spectrum": 1e-8, "horodecki_vs_closed": 1e-8, "gisin_pure": 1e-8,
+    "polar_roundtrip": 1e-10, "semi_polar": 1e-10, "canonicalize": 1e-10,
+    "bruteforce_gap": 1e-4, "bruteforce_excess": 1e-6,
+}
 
 
 @dataclass
@@ -50,22 +59,7 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
     rng = np.random.Generator(np.random.PCG64(seed))
     random_alphas = rng.uniform(0.0, 1.0, size=count)
 
-    suites = {
-        "trace_identities": SuiteResult("trace_identities", 0, 0.0, 1e-10),
-        "tilde_orthogonality": SuiteResult("tilde_orthogonality", 0, 0.0, 1e-10),
-        "concurrence_wootters": SuiteResult("concurrence_wootters", 0, 0.0, 1e-8),
-        "concurrence_gamma": SuiteResult("concurrence_gamma", 0, 0.0, 1e-10),
-        "state_positivity": SuiteResult("state_positivity", 0, 0.0, 1e-10),
-        "mandel_identity": SuiteResult("mandel_identity", 0, 0.0, 1e-12),
-        "bell_spectrum": SuiteResult("bell_spectrum", 0, 0.0, 1e-8),
-        "horodecki_vs_closed": SuiteResult("horodecki_vs_closed", 0, 0.0, 1e-8),
-        "gisin_pure": SuiteResult("gisin_pure", 0, 0.0, 1e-8),
-        "polar_roundtrip": SuiteResult("polar_roundtrip", 0, 0.0, 1e-10),
-        "semi_polar": SuiteResult("semi_polar", 0, 0.0, 1e-10),
-        "canonicalize": SuiteResult("canonicalize", 0, 0.0, 1e-10),
-        "bruteforce_gap": SuiteResult("bruteforce_gap", 0, 0.0, 1e-4),
-        "bruteforce_excess": SuiteResult("bruteforce_excess", 0, 0.0, 1e-6),
-    }
+    suites = {name: SuiteResult(name, 0, 0.0, tol) for name, tol in SUITE_TOLERANCES.items()}
 
     for i in range(count):
         # Drawn first, so that an instance that raises leaves later draws unchanged.
@@ -77,11 +71,8 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
             g = scattering.gammas(sm)
             x = scattering.hybrid(sm)
 
-            ids = scattering.trace_identities(sm)
-            suites["trace_identities"].absorb(abs(ids.gamma_side.abs_tr_g1tg1 - ids.hybrid_side.abs_tr_g1tg1))
-            suites["trace_identities"].absorb(abs(ids.gamma_side.tr_g1g1 - ids.hybrid_side.tr_g1g1))
-            suites["trace_identities"].absorb(abs(ids.gamma_side.tr_g2g2 - ids.hybrid_side.tr_g2g2))
-            suites["trace_identities"].absorb(abs(ids.gamma_side.tr_g1g2 - ids.hybrid_side.tr_g1g2))
+            for by_gammas, by_gram in zip(*scattering.trace_identities(sm)):
+                suites["trace_identities"].absorb(abs(by_gammas - by_gram))
             suites["tilde_orthogonality"].absorb(abs(np.trace(dagger(g.gamma1) @ tilde2(g.gamma2))))
             suites["tilde_orthogonality"].absorb(abs(np.trace(dagger(g.gamma2) @ tilde2(g.gamma1))))
             suites["tilde_orthogonality"].absorb(
@@ -103,10 +94,8 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
                 suites["concurrence_wootters"].absorb(abs(c_closed - state.concurrence_wootters(rho)))
                 suites["concurrence_gamma"].absorb(abs(c_closed - state.concurrence_gamma(g, a)))
 
-                md = state.mandel_dip(x, a)
-                suites["mandel_identity"].absorb(
-                    abs(md.coincidence_prob - state.normalization(g, a) / 2.0)
-                )
+                norm = state.mixture_norm(g.invariants, a)
+                suites["mandel_identity"].absorb(abs(state.mandel_dip(x, a).coincidence_prob - norm / 2.0))
 
                 u = bell.u_eigen_closed(x, a)
                 u_closed = np.sort(u)
@@ -114,7 +103,7 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
                 u_num = np.sort(np.linalg.eigvalsh(corr.T @ corr))
                 suites["bell_spectrum"].absorb(np.abs(u_closed - u_num).max())
                 if sp is not None:
-                    rp = decomp.r_prime(sp, a, state.normalization(g, a))
+                    rp = decomp.r_prime(sp, a, norm)
                     u_rp = np.sort(np.asarray(rp.eigenvalues_squared()))
                     suites["bell_spectrum"].absorb(np.abs(u_closed - u_rp).max())
 
@@ -144,7 +133,7 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
                 suites["semi_polar"].absorb(abs(sp.q[0, 0] + sp.q[1, 1]))
                 suites["semi_polar"].absorb(abs(sp.c1**2 + sp.c2 * sp.c3 - 1.0))
                 norm_lhs = sp.c1**2 * (sp.xi[0] + sp.xi[1]) + sp.c2**2 * sp.xi[1] + sp.c3**2 * sp.xi[0]
-                suites["semi_polar"].absorb(abs(norm_lhs - np.trace(dagger(g.gamma1) @ g.gamma1).real))
+                suites["semi_polar"].absorb(abs(norm_lhs - g.invariants.t1))
 
             sigma = np.outer(uvec, vvec)
             canon = scattering.canonicalize_input(sm, sigma)

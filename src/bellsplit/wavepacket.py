@@ -113,6 +113,19 @@ class GaussianPacket:
         return scale * np.exp(1j * self.center * u - self.width**2 * u**2)
 
 
+def _checked_samples(omega, amp) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulated samples as arrays, past the grid rules; checked before any weight is formed."""
+    omega = np.asarray(omega, dtype=float)
+    amp = np.asarray(amp, dtype=complex)
+    if omega.ndim != 1 or omega.size < 2 or amp.shape != omega.shape:
+        raise ValueError("omega and amp must be matching 1-d arrays with >= 2 samples")
+    if not np.all(np.diff(omega) > 0.0):
+        raise ValueError("frequency grid must be strictly increasing")
+    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
+        raise ValueError("samples must be finite")
+    return omega, amp
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedPacket:
     """Spectral amplitude sampled on a strictly increasing frequency grid.
@@ -127,14 +140,7 @@ class TabulatedPacket:
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        amp = np.asarray(self.amp, dtype=complex)
-        if omega.ndim != 1 or omega.size < 2 or amp.shape != omega.shape:
-            raise ValueError("omega and amp must be matching 1-d arrays with >= 2 samples")
-        if not np.all(np.diff(omega) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
-            raise ValueError("samples must be finite")
+        omega, amp = _checked_samples(self.omega, self.amp)
         object.__setattr__(self, "omega", omega.copy())
         object.__setattr__(self, "amp", amp.copy())
         object.__setattr__(self, "_weights", simpson_weights(omega))
@@ -145,8 +151,7 @@ class TabulatedPacket:
     @classmethod
     def normalized(cls, omega, amp) -> tuple["TabulatedPacket", float]:
         """Normalize raw samples; returns the packet and the applied factor."""
-        omega = np.asarray(omega, dtype=float)
-        amp = np.asarray(amp, dtype=complex)
+        omega, amp = _checked_samples(omega, amp)
         norm = float(np.sum(simpson_weights(omega) * np.abs(amp) ** 2))
         if norm <= 0.0:
             raise ValueError("cannot normalize a zero packet")

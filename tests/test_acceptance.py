@@ -73,7 +73,7 @@ def test_criterion_2_bell_spectrum_three_way():
             rho = state.build_rho(g, a)
             r = bell.correlation_matrix(rho)
             direct = np.sort(np.linalg.eigvalsh(r.T @ r))
-            sparse = np.sort(np.asarray(decomp.r_prime(sp, a, state.normalization(g, a)).eigenvalues_squared()))
+            sparse = np.sort(np.asarray(decomp.r_prime(sp, a, state.mixture_norm(g.invariants, a)).eigenvalues_squared()))
             worst_direct = max(worst_direct, float(np.abs(closed - direct).max()))
             worst_sparse = max(worst_sparse, float(np.abs(closed - sparse).max()))
     elapsed = time.monotonic() - start
@@ -176,13 +176,10 @@ def test_criterion_5_balanced_slice_region_map():
 def test_criterion_6_trace_identity_suite():
     worst = 0.0
     for sm, g, x in _ensemble():
-        ids = scattering.trace_identities(sm)
+        by_gammas, by_gram = scattering.trace_identities(sm)
         worst = max(
             worst,
-            abs(ids.gamma_side.abs_tr_g1tg1 - ids.hybrid_side.abs_tr_g1tg1),
-            abs(ids.gamma_side.tr_g1g1 - ids.hybrid_side.tr_g1g1),
-            abs(ids.gamma_side.tr_g2g2 - ids.hybrid_side.tr_g2g2),
-            abs(ids.gamma_side.tr_g1g2 - ids.hybrid_side.tr_g1g2),
+            *(abs(p - q) for p, q in zip(by_gammas, by_gram)),
             abs(np.trace(dagger(g.gamma1) @ tilde2(g.gamma2))),
             abs(np.trace(dagger(g.gamma2) @ tilde2(g.gamma1))),
             abs(

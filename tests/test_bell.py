@@ -14,7 +14,7 @@ from bellsplit.bell import (
 )
 from bellsplit.scattering import STATISTICS, gammas, hybrid, make_scattering, preset
 from bellsplit.smallmat import PAULIS, SIGMA_Z, ConsistencyError, dagger, haar_unitary, max_abs
-from bellsplit.state import PolarizationState, ZeroCoincidence, build_rho, normalization
+from bellsplit.state import PolarizationState, ZeroCoincidence, build_rho, mixture_norm
 from bellsplit.verify import ALPHA_LADDER
 
 BELL_PHI_PLUS = np.zeros((4, 4), complex)
@@ -50,7 +50,7 @@ def correlation_traces(state):
     r = np.empty((3, 3))
     rg = np.empty((3, 3))
     g1, g2, a = state.gammas.gamma1, state.gammas.gamma2, state.alpha_sq
-    norm = normalization(state.gammas, a)
+    norm = mixture_norm(state.gammas.invariants, a)
     for k in range(3):
         for l in range(3):
             r[k, l] = np.trace(state.rho @ np.kron(PAULIS[k], PAULIS[l])).real

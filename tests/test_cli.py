@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestAnalyze:
         calls = []
         original = scattering_mod.gram_invariants
         monkeypatch.setattr(scattering_mod, "gram_invariants", lambda *a: calls.append(a) or original(*a))
+        code, _, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.4)", "--alpha-sq", "0.6")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_amplitude_invariants_derived_once(self, capsys, monkeypatch):
+        # build_rho, the amplitude concurrence, the amplitude tensor and semi_polar all
+        # read the traces the one GammaPair formed.
+        calls = []
+        original = scattering_mod.GammaPair.__post_init__
+        monkeypatch.setattr(scattering_mod.GammaPair, "__post_init__", lambda g: calls.append(g) or original(g))
         code, _, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.4)", "--alpha-sq", "0.6")
         assert code == 0
         assert len(calls) == 1
@@ -377,6 +388,42 @@ class TestMalformedConfig:
         assert err == f"error: {message}\n"
 
 
+    # A null or numeric payload ended in a TypeError traceback (exit 1); rows 4.5 was read as 4.
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"re": None, "im": None}, "'re' must be a flat list of numbers"),
+            ({"re": 5}, "'re' must be a flat list of numbers"),
+            ({"im": [[0.0] * 4] * 4}, "'im' must be a flat list of numbers"),
+            ({"rows": 4.5}, "'rows' must be a positive integer, got 4.5"),
+            ({"cols": 0}, "'cols' must be a positive integer, got 0"),
+        ],
+        ids=["re-null", "re-number", "im-nested", "rows-fraction", "cols-zero"],
+    )
+    def test_malformed_scattering_file(self, tmp_path, capsys, monkeypatch, fields, message):
+        monkeypatch.chdir(tmp_path)
+        matrix = {"rows": 4, "cols": 4, "re": np.eye(4).ravel().tolist(), "im": [0.0] * 16}
+        Path("s.json").write_text(json.dumps({**matrix, **fields}))
+        Path("cfg.json").write_text(json.dumps({"scattering": {"file": "s.json"}, "alpha": {"alpha_sq": 0.5}}))
+        code, out, err = run(capsys, "analyze", "--config", "cfg.json")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad scattering file s.json: {message}\n"
+
+    # A descending grid read "cannot normalize a zero packet"; a repeated node gave the
+    # right text only after three numpy RuntimeWarnings.
+    @pytest.mark.parametrize("omega", [[3.0, 2.0, 1.0], [1.0, 2.0, 2.0, 3.0]], ids=["descending", "repeated"])
+    def test_bad_packet_grid(self, tmp_path, capsys, recwarn, omega):
+        packet = tmp_path / "phi.csv"
+        packet.write_text("omega,re,im\n" + "".join(f"{w},1.0,0.0\n" for w in omega))
+        alpha = dict(gaussian_pair(1.0, 1.0, "infinite"), phi={"csv": str(packet)})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: frequency grid must be strictly increasing\n"
+        assert recwarn.list == []
+
+
 class TestScan:
     def test_small_grid_shape(self, capsys):
         code, out, _ = run(capsys, "scan", "--grid", "10x10")
@@ -408,6 +455,16 @@ class TestVerify:
         assert code == 0
         assert "overall: PASS" in out
         assert "bell_spectrum" in out
+
+    def test_amplitude_invariants_derived_twice_per_instance(self, capsys, monkeypatch):
+        # Once for the instance's pair, read at every alpha of the ladder, and once inside
+        # trace_identities, which takes both routes afresh from the splitter.
+        calls = []
+        original = scattering_mod.GammaPair.__post_init__
+        monkeypatch.setattr(scattering_mod.GammaPair, "__post_init__", lambda g: calls.append(g) or original(g))
+        code, _, _ = run(capsys, "verify", "--count", "4", "--seed", "3")
+        assert code == 0
+        assert len(calls) == 2 * 4
 
     def test_zero_count_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--count", "0")

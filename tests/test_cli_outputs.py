@@ -1,0 +1,35 @@
+"""tools/cli_outputs.py, the byte-identity recorder, kept runnable on one entry per command."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from bellsplit import cli
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_entry_per_command(tmp_path, monkeypatch):
+    tool = _tool()
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = tool.comparison_set()
+    picks = [
+        next(argv for argv in runs if argv[0] == "analyze" and argv[2] == "haar0_cfg.json"),
+        next(argv for argv in runs if argv[0] == "scan"),
+        next(argv for argv in runs if argv[0] == "verify"),
+    ]
+    records = [json.loads(json.dumps(tool.record(cli.main, argv))) for argv in picks]
+    assert [(r["argv"], r["exit"]) for r in records] == [(argv, 0) for argv in picks]
+    analyze, scan, verify = records
+    assert json.loads(analyze["stdout"])["scattering_source"] == "file:haar0.json"
+    assert analyze["stderr"] == ""
+    assert scan["stdout"].count("\n") == 1 + 60 * 60
+    assert "overall: PASS" in verify["stdout"]

@@ -7,7 +7,7 @@ from bellsplit.bell import correlation_matrix, u_eigen_closed
 from bellsplit.decomp import DegenerateXi, SemiPolar, r_prime, semi_polar
 from bellsplit.scattering import GammaPair, HybridMatrix, gammas, hybrid, make_scattering, preset
 from bellsplit.smallmat import SIGMA_Y, SIGMA_Z, dagger, haar_unitary, herm_eigen, max_abs, tilde2
-from bellsplit.state import build_rho, normalization
+from bellsplit.state import build_rho, mixture_norm
 
 
 def pipeline(seed):
@@ -210,7 +210,7 @@ class TestRPrime:
     def test_balanced_pure_interference_entry(self):
         g = gammas(preset("balanced_mixing", 0.4))
         sp = semi_polar(g)
-        n = normalization(g, 1.0)
+        n = mixture_norm(g.invariants, 1.0)
         rp = r_prime(sp, 1.0, n)
         u3 = u_eigen_closed(hybrid(preset("balanced_mixing", 0.4)), 1.0)[2]
         assert rp.matrix[1, 1] ** 2 == pytest.approx(u3, abs=1e-10)
@@ -231,7 +231,7 @@ class TestRPrime:
             rho = build_rho(g, a)
             r = correlation_matrix(rho)
             direct = np.sort(np.linalg.eigvalsh(r.T @ r))
-            rp = r_prime(sp, a, normalization(g, a))
+            rp = r_prime(sp, a, mixture_norm(g.invariants, a))
             sparse = np.sort(np.asarray(rp.eigenvalues_squared()))
             assert np.abs(closed - direct).max() <= 1e-8
             assert np.abs(closed - sparse).max() <= 1e-8

@@ -176,27 +176,32 @@ class TestGramInvariants:
 
 class TestTraceIdentities:
     def test_balanced_point_values(self):
-        ids = trace_identities(preset("balanced_pc"))
-        assert ids.hybrid_side.abs_tr_g1tg1 == pytest.approx(0.5, abs=1e-12)
-        assert ids.gamma_side.abs_tr_g1tg1 == pytest.approx(0.5, abs=1e-12)
+        by_gammas, by_gram = trace_identities(preset("balanced_pc"))
+        assert by_gram.tt == pytest.approx(0.5, abs=1e-12)
+        assert by_gammas.tt == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_point_values(self):
-        ids = trace_identities(make_scattering(np.eye(4)))
-        got = (
-            ids.hybrid_side.abs_tr_g1tg1,
-            ids.hybrid_side.tr_g1g1,
-            ids.hybrid_side.tr_g2g2,
-            ids.hybrid_side.tr_g1g2,
-        )
-        assert got == pytest.approx((0.0, 1.0, 1.0, 1.0), abs=1e-12)
+        _, by_gram = trace_identities(make_scattering(np.eye(4)))
+        assert tuple(by_gram) == pytest.approx((1.0, 1.0, 0.0, 1.0), abs=1e-12)
 
     def test_routes_agree(self):
         for u in haar_ensemble(4, 1000, base_seed=94_000):
-            ids = trace_identities(make_scattering(u))
-            assert abs(ids.gamma_side.abs_tr_g1tg1 - ids.hybrid_side.abs_tr_g1tg1) <= 1e-10
-            assert abs(ids.gamma_side.tr_g1g1 - ids.hybrid_side.tr_g1g1) <= 1e-10
-            assert abs(ids.gamma_side.tr_g2g2 - ids.hybrid_side.tr_g2g2) <= 1e-10
-            assert abs(ids.gamma_side.tr_g1g2 - ids.hybrid_side.tr_g1g2) <= 1e-10
+            by_gammas, by_gram = trace_identities(make_scattering(u))
+            assert abs(by_gammas.tt - by_gram.tt) <= 1e-10
+            assert abs(by_gammas.t1 - by_gram.t1) <= 1e-10
+            assert abs(by_gammas.t2 - by_gram.t2) <= 1e-10
+            assert abs(by_gammas.c - by_gram.c) <= 1e-10
+
+    def test_gamma_pair_keeps_the_amplitude_traces(self):
+        g = gammas(preset("balanced_mixing", 0.4), "fermionic")
+        g1, g2 = g.gamma1, g.gamma2
+        assert g.invariants == (
+            float(np.trace(dagger(g1) @ g1).real),
+            float(np.trace(dagger(g2) @ g2).real),
+            abs(np.trace(dagger(g1) @ tilde2(g1))),
+            complex(np.trace(dagger(g1) @ g2)),
+        )
+        assert isinstance(g.invariants.c, complex)
 
     def test_span_formula(self):
         # det of the Gram matrix equals the joint-span measure of the

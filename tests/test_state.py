@@ -16,7 +16,7 @@ from bellsplit.state import (
     concurrence_report,
     concurrence_wootters,
     mandel_dip,
-    normalization,
+    mixture_norm,
     require_coincidences,
     vec,
 )
@@ -254,7 +254,7 @@ class TestMandelDip:
             for a in (0.0, 0.4, 1.0):
                 md = mandel_dip(x, a)
                 assert abs(md.coincidence_prob - coincidence_denominator(x, a)) <= 1e-12
-                assert abs(md.coincidence_prob - normalization(g, a) / 2.0) <= 1e-10
+                assert abs(md.coincidence_prob - mixture_norm(g.invariants, a) / 2.0) <= 1e-10
 
 
 class TestReport:

@@ -1,0 +1,143 @@
+"""Record the CLI's bytes on a fixed comparison set, for a byte-identity check between two trees.
+
+Usage:
+
+    python tools/cli_outputs.py SRC OUT
+
+imports ``bellsplit`` from the source directory SRC, runs every entry of the
+set in-process through ``cli.main`` and writes one JSON line per run to OUT:
+``{"argv", "exit", "stdout", "stderr"}``. Run it once per tree and ``diff``
+the two files; any difference is a change in what the CLI prints or returns.
+
+The set: ``analyze`` on 8 presets x 6 alphas, on 12 Haar-random splitter
+files x 4 alphas and on wavepacket configs (all under both statistics), a few
+malformed scattering and packet files, ``scan --grid 60x60`` under both
+statistics and ``verify --count 25`` at four seeds. The input files are
+written into a fresh working directory and passed by relative name, so
+``scattering_source`` and every message read the same on both trees. An
+exception that escapes ``cli.main`` is recorded as exit 1 with its last line,
+as the console script would end.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+MIXING_ANGLES = (0.2, 0.6, 1.0, 1.3, 1.5707963267948966, 2.5)
+PRESETS = ("identity", "balanced_pc") + tuple(f"balanced_mixing({t})" for t in MIXING_ANGLES)
+PRESET_ALPHAS = (0.0, 0.2, 0.37, 0.5, 0.8, 1.0)
+HAAR_SEEDS = range(12)
+HAAR_ALPHAS = (0.1, 0.4, 0.7, 1.0)
+STATISTICS = ("bosonic", "fermionic")
+VERIFY_SEEDS = (0, 7, 31, 100)
+
+
+def _haar(seed: int) -> np.ndarray:
+    # QR of a complex Ginibre matrix with the phases of R's diagonal removed; drawn here, not by
+    # the package under test, so both trees read the same files.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _matrix_json(m: np.ndarray) -> dict:
+    return {"rows": 4, "cols": 4, "re": [float(x) for x in m.real.ravel()], "im": [float(x) for x in m.imag.ravel()]}
+
+
+def _packet_csv(omega, amp) -> str:
+    return "omega,re,im\n" + "".join(f"{w!r},{a!r},0.0\n" for w, a in zip(omega, amp))
+
+
+def write_inputs(workdir: Path) -> None:
+    """Write every input file of the set into ``workdir``."""
+    for seed in HAAR_SEEDS:
+        (workdir / f"haar{seed}.json").write_text(json.dumps(_matrix_json(_haar(seed))))
+        (workdir / f"haar{seed}_cfg.json").write_text(json.dumps({"scattering": {"file": f"haar{seed}.json"}}))
+    omega = np.linspace(-6.0, 6.0, 201).tolist()
+    (workdir / "packet.csv").write_text(_packet_csv(omega, [math.exp(-w * w / 2.0) for w in omega]))
+    (workdir / "descending.csv").write_text(_packet_csv([3.0, 2.0, 1.0], [0.5, 1.0, 0.5]))
+    (workdir / "repeated.csv").write_text(_packet_csv([1.0, 2.0, 2.0, 3.0], [0.5, 1.0, 1.0, 0.5]))
+    bad = {"re_null": {"re": None, "im": None}, "re_number": {"re": 5}, "rows_fraction": {"rows": 4.5}}
+    for name, fields in bad.items():
+        (workdir / f"{name}.json").write_text(json.dumps({**_matrix_json(np.eye(4)), **fields}))
+    gaussian = {"gaussian": {"center": 0.0, "width": 1.0, "delay": 0.3}}
+    configs = {
+        "packets_infinite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": "infinite"},
+        "packets_finite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": {"t": 0.1, "tau": 2.5}},
+        "packets_descending": {"psi": gaussian, "phi": {"csv": "descending.csv"}},
+        "packets_repeated": {"psi": gaussian, "phi": {"csv": "repeated.csv"}},
+    }
+    for name, alpha in configs.items():
+        cfg = {"scattering": {"preset": "balanced_mixing", "theta": 0.6}, "alpha": alpha}
+        (workdir / f"{name}.json").write_text(json.dumps(cfg))
+    for name in bad:
+        cfg = {"scattering": {"file": f"{name}.json"}, "alpha": {"alpha_sq": 0.5}}
+        (workdir / f"{name}_cfg.json").write_text(json.dumps(cfg))
+
+
+def comparison_set() -> list[list[str]]:
+    """Every argv of the set, in a fixed order."""
+    runs = []
+    for stats in STATISTICS:
+        flag = ["--statistics", stats]
+        runs += [["analyze", "--preset", p, "--alpha-sq", repr(a), *flag] for p in PRESETS for a in PRESET_ALPHAS]
+        runs += [
+            ["analyze", "--config", f"haar{s}_cfg.json", "--alpha-sq", repr(a), *flag]
+            for s in HAAR_SEEDS
+            for a in HAAR_ALPHAS
+        ]
+        runs += [["analyze", "--config", f"packets_{w}.json", *flag] for w in ("infinite", "finite")]
+    runs += [["analyze", "--config", f"{name}_cfg.json"] for name in ("re_null", "re_number", "rows_fraction")]
+    runs += [["analyze", "--config", f"packets_{name}.json"] for name in ("descending", "repeated")]
+    runs += [["scan", "--grid", "60x60", "--statistics", stats] for stats in STATISTICS]
+    runs += [["verify", "--count", "25", "--seed", str(seed)] for seed in VERIFY_SEEDS]
+    return runs
+
+
+def record(main, argv: list[str]) -> dict:
+    """Run ``main(argv)`` in-process; its exit code and the text it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("default")  # as a fresh process shows them: once per place, every run
+        try:
+            code = main(argv)
+        except Exception as exc:
+            err.write("".join(traceback.format_exception_only(exc)))
+            code = 1
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def run(src: str, out: str) -> int:
+    """Write the records of the whole set for the tree whose package sits in ``src``."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from bellsplit import cli
+
+    target = Path(out).resolve()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, open(target, "w") as fh:
+        write_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            for argv in comparison_set():
+                fh.write(json.dumps(record(cli.main, argv)) + "\n")
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(run(sys.argv[1], sys.argv[2]))
