@@ -189,16 +189,7 @@ class BellReport(NamedTuple):
     branch: str  # 'u3_active' or 'u2_active'
 
     def to_json(self) -> dict:
-        return {
-            "u1": self.u1,
-            "u2": self.u2,
-            "u3": self.u3,
-            "emax_closed": self.emax_closed,
-            "emax_horodecki": self.emax_horodecki,
-            "emax_bruteforce": self.emax_bruteforce,
-            "violating": self.violating,
-            "branch": self.branch,
-        }
+        return self._asdict()
 
 
 def emax(

@@ -7,7 +7,7 @@ explicit integer seed (PCG64), never a global, so every sample is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,11 +67,7 @@ class Tolerances:
         raise ValueError(f"unknown tolerance profile {profile!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "identity": self.identity,
-            "oracle": self.oracle,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOLERANCES = Tolerances()

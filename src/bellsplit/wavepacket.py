@@ -9,15 +9,16 @@ transforms
     packet~(t) = integral dw packet(w) exp(i w t),
 
 which is what this module evaluates: analytically for Gaussian packets,
-as a sum over the stored grid for tabulated ones; a fixed Gauss-Legendre
-rule integrates them over the window. Everything
-dimensionful is SI (rad/s and seconds), but only dimensionless products
-enter the results, so natural units (width = 1) work unchanged.
+as a sum over the stored grid for tabulated ones. Both windows integrate
+with one composite Gauss-Legendre rule on panels fixed before any
+evaluation: over frequency in the infinite window, over the window's time
+span in the finite one. Everything dimensionful is SI (rad/s and seconds),
+but only dimensionless products enter the results, so natural units
+(width = 1) work unchanged.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
-_QUAD_TOL = 1e-9
 _DENOM_FLOOR = 1e-14
 
 
@@ -119,10 +119,10 @@ def _checked_samples(omega, amp) -> tuple[np.ndarray, np.ndarray]:
     amp = np.asarray(amp, dtype=complex)
     if omega.ndim != 1 or omega.size < 2 or amp.shape != omega.shape:
         raise ValueError("omega and amp must be matching 1-d arrays with >= 2 samples")
-    if not np.all(np.diff(omega) > 0.0):
-        raise ValueError("frequency grid must be strictly increasing")
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(amp.real)) and np.all(np.isfinite(amp.imag))):
         raise ValueError("samples must be finite")
+    if not np.all(np.diff(omega) > 0.0):
+        raise ValueError("frequency grid must be strictly increasing")
     return omega, amp
 
 
@@ -207,100 +207,33 @@ class OverlapAlpha:
 def read_packet_csv(path) -> tuple[TabulatedPacket, float]:
     """Read a packet from CSV columns omega, re, im (header row required).
 
-    The samples are normalized on read; the applied amplitude factor is
-    returned alongside the packet.
+    Plain comma-separated numbers, one sample per line; blank lines are
+    skipped. The samples are normalized on read; the applied amplitude factor
+    is returned alongside the packet.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["omega", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'omega,re,im', got {header}")
-        omega, re, im = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            omega.append(float(row[0]))
-            re.append(float(row[1]))
-            im.append(float(row[2]))
-    if len(omega) < 2:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if [h.strip().lower() for h in header] != ["omega", "re", "im"]:
+        raise ValueError(f"{path}: expected header 'omega,re,im', got {header}")
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
+    for lineno, line in body:
+        if line.count(",") != 2:
+            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {line.count(',') + 1}")
+    if len(body) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    return TabulatedPacket.normalized(np.array(omega), np.array(re) + 1j * np.array(im))
-
-
-def _breakpoints(packet) -> np.ndarray:
-    if isinstance(packet, TabulatedPacket):
-        return packet.omega
-    return np.empty(0)
-
-
-def _refined_integral(fn, lo: float, hi: float, breaks, tol: float, max_level: int = 14):
-    """Integrate fn over [lo, hi] by per-segment composite Simpson with doubling.
-
-    ``breaks`` lists interior points where the integrand may have kinks
-    (tabulated-grid nodes); segments between them are smooth, so Simpson
-    refinement converges fast. ``fn`` maps a (segments, nodes) array to the
-    integrand. An empty interval gives zero. Raises QuadratureNotConverged if
-    doubling stalls above ``tol``.
-    """
-    inner = np.asarray(breaks, dtype=float)
-    pts = np.sort(np.concatenate(([lo, max(lo, hi)], inner[(lo < inner) & (inner < hi)])))
-    pts = pts[np.diff(pts, prepend=-np.inf) > 0]  # drop repeated breaks
-    a, width = pts[:-1], np.diff(pts)
-    # With many tabulated segments each one is already short; start shallow.
-    start_level = 3 if a.size < 64 else 1
-    n_sub = 2**start_level
-
-    def nodes(j):  # as np.linspace places them: doubling keeps every old node bitwise
-        return j * (width / n_sub)[:, None] + a[:, None]
-
-    x = nodes(np.arange(n_sub + 1))
-    x[:, -1] = pts[1:]
-    y = fn(x)
-    ends, odd, even = y[:, 0] + y[:, -1], y[:, 1::2].sum(-1), y[:, 2:-1:2].sum(-1)
-    prev = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
-    for level in range(start_level + 1, max_level + 1):
-        n_sub *= 2
-        # The old interior nodes all become even ones; only the odd ones are new.
-        even, odd = even + odd, fn(nodes(np.arange(1, n_sub, 2))).sum(-1)
-        cur = (ends + 4.0 * odd + 2.0 * even) @ (width / n_sub / 3.0)
-        step = abs(cur - prev)
-        if step <= tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"integral over [{lo:g}, {hi:g}] did not stabilize below {tol:g} "
-        f"(last refinement step {step:.3e})"
-    )
-
-
-def alpha_infinite_window(psi: Wavepacket, phi: Wavepacket) -> OverlapAlpha:
-    """Overlap alpha = integral dw phi(w) psi*(w) in the infinite-window limit.
-
-    The packets' own numerically evaluated norms divide the result, so the
-    Cauchy-Schwarz bound |alpha| <= 1 holds to rounding even when the inputs
-    carry the permitted 1e-8 normalization slack.
-    """
-    lo = max(psi.support()[0], phi.support()[0])
-    hi = min(psi.support()[1], phi.support()[1])
-    if hi <= lo:
-        return OverlapAlpha(0.0)
-    breaks = np.concatenate([_breakpoints(psi), _breakpoints(phi)])
-    num = _refined_integral(
-        lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, breaks, _QUAD_TOL
-    )
-    norms = []
-    for packet in (psi, phi):
-        a, b = packet.support()
-        val = _refined_integral(
-            lambda w, p=packet: np.abs(p.amplitude(w)) ** 2, a, b, _breakpoints(packet), _QUAD_TOL
-        )
-        norms.append(val.real)
-    return OverlapAlpha(complex(num) / np.sqrt(norms[0] * norms[1]))
+    try:
+        samples = np.array(",".join(line for _, line in body).split(","), dtype=float).reshape(-1, 3)
+    except ValueError:
+        for lineno, line in body:  # find the line, for the message
+            try:
+                [float(x) for x in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise
+    return TabulatedPacket.normalized(samples[:, 0], samples[:, 1] + 1j * samples[:, 2])
 
 
 @functools.cache  # on first use, not at import: its eigh would map LAPACK workspace in every process
@@ -313,7 +246,55 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
-_MAX_PANELS = (2**14 + 1) // 24  # the old Simpson doubling's deepest node count per window
+_MAX_SPECTRAL_PANELS = 2**14  # sigma * |delay| = 100 needs 16,000 Gaussian panels
+
+
+def _spectral_integral(fn, lo: float, hi: float, packets) -> complex:
+    """Integrate fn over [lo, hi] by a 4-point Gauss-Legendre rule on panels fixed before any evaluation.
+
+    Every grid node of a tabulated packet is a panel edge: the packet is linear
+    between nodes, so each integrand is a quadratic there, which the rule
+    integrates exactly. Gaussian packets add equal panels no wider than a tenth
+    of the narrowest width and of 1 / beat, where beat is the packets' relative
+    delay (a tabulated packet counts as delay 0), so a common delay adds none.
+    """
+    edges = [np.array([lo, hi])]
+    edges += [p.omega[(lo < p.omega) & (p.omega < hi)] for p in packets if isinstance(p, TabulatedPacket)]
+    widths = [p.width for p in packets if isinstance(p, GaussianPacket)]
+    if widths:
+        delays = [p.delay if isinstance(p, GaussianPacket) else 0.0 for p in packets]
+        beat = max(delays) - min(delays)
+        panels = 10.0 * (hi - lo) * max(1.0 / min(widths), beat)
+        if not panels <= _MAX_SPECTRAL_PANELS:
+            raise QuadratureNotConverged(
+                f"integral over [{lo:g}, {hi:g}] is out of reach: its {beat:g} s delay beat "
+                f"needs more than {_MAX_SPECTRAL_PANELS} panels of 4 Gauss-Legendre nodes"
+            )
+        edges.append(np.linspace(lo, hi, math.ceil(panels) + 1))
+    edges = np.unique(np.concatenate(edges))
+    nodes, weights = _gauss_legendre(4)
+    half = np.diff(edges)[:, None] / 2.0
+    return np.sum(weights * half * fn(edges[:-1, None] + half * (nodes + 1.0)))
+
+
+def alpha_infinite_window(psi: Wavepacket, phi: Wavepacket) -> OverlapAlpha:
+    """Overlap alpha = integral dw phi(w) psi*(w) in the infinite-window limit.
+
+    The packets' own numerically evaluated norms divide the result, so the
+    Cauchy-Schwarz bound |alpha| <= 1 holds to rounding even when the inputs
+    carry the permitted 1e-8 normalization slack. Raises QuadratureNotConverged
+    when the packets' relative delay needs more than 16,384 panels.
+    """
+    lo = max(psi.support()[0], phi.support()[0])
+    hi = min(psi.support()[1], phi.support()[1])
+    if hi <= lo:
+        return OverlapAlpha(0.0)
+    num = _spectral_integral(lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, (psi, phi))
+    norms = [_spectral_integral(lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), (p,)) for p in (psi, phi)]
+    return OverlapAlpha(complex(num) / np.sqrt(norms[0].real * norms[1].real))
+
+
+_MAX_PANELS = (2**14 + 1) // 24  # at most 2^14 + 1 nodes per window
 _BLOCK = 64  # nodes per time_amplitude call, so its (nodes x samples) matrix stays under the old peak
 
 

@@ -164,6 +164,18 @@ class TestAnalyze:
         assert payload["alpha"]["alpha_sq"] == pytest.approx(1.0, abs=1e-10)
         assert payload["alpha"]["source"] == "wavepackets"
 
+    def test_far_delay_gaussians_are_distinguishable(self, tmp_path, capsys):
+        # Two unit-width packets 50 widths apart: |alpha|^2 = exp(-2500), 0 in floats. The
+        # Simpson doubling aliased the 50 s beat and printed 0.932 for both numbers.
+        config = tmp_path / "cfg.json"
+        alpha = gaussian_pair(1.0, 50.0, "infinite")
+        config.write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["alpha"]["alpha_sq"] <= 1e-14
+        assert payload["concurrence"]["closed"] <= 1e-14
+
     def test_tau_flag_sets_window(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(
@@ -423,6 +435,29 @@ class TestMalformedConfig:
         assert err == "error: frequency grid must be strictly increasing\n"
         assert recwarn.list == []
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("omega,re,im\n0.0,1.0,0.0\n1.0,abc,0.0\n", "phi.csv:3: could not convert string to float: 'abc'"),
+            ("omega,re,im\n\n0.0,1.0\n1.0,1.0,0.0\n", "phi.csv:3: expected 3 columns, got 2"),
+            ("omega,re,im\n0.0,1.0,0.0,2.0\n", "phi.csv:2: expected 3 columns, got 4"),
+            ("w,re,im\n0.0,1.0,0.0\n", "phi.csv: expected header 'omega,re,im', got ['w', 're', 'im']"),
+            ("", "phi.csv: empty file"),
+            ("omega,re,im\n0.0,1.0,0.0\n", "phi.csv: need at least two samples"),
+            # A nan frequency read "frequency grid must be strictly increasing".
+            ("omega,re,im\n0.0,1.0,0.0\nnan,1.0,0.0\n2.0,1.0,0.0\n", "samples must be finite"),
+        ],
+        ids=["bad-number", "short-row", "long-row", "header", "empty", "one-sample", "nan-omega"],
+    )
+    def test_bad_packet_file_message(self, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)
+        Path("phi.csv").write_text(text)
+        alpha = dict(gaussian_pair(1.0, 1.0, "infinite"), phi={"csv": "phi.csv"})
+        Path("cfg.json").write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", "cfg.json")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestScan:
     def test_small_grid_shape(self, capsys):
@@ -561,6 +596,18 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "did not stabilize" in err
+
+    def test_infinite_window_beat_past_the_cap_exits_2(self, tmp_path, capsys):
+        # A 200 s relative delay at unit width needs 32,000 panels over the 16 rad/s wide support.
+        config = tmp_path / "cfg.json"
+        alpha = gaussian_pair(1.0, 200.0, "infinite")
+        config.write_text(json.dumps({"scattering": {"preset": "balanced_pc"}, "alpha": alpha}))
+        code, out, err = run(capsys, "analyze", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: integral over [-8, 8] is out of reach: its 200 s delay beat needs more than "
+            "16384 panels of 4 Gauss-Legendre nodes\n"
+        )
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

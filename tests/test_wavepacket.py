@@ -117,6 +117,11 @@ class TestPackets:
         with pytest.raises(ValueError):
             TabulatedPacket(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0]))
 
+    def test_non_finite_grid_is_reported_before_its_order(self):
+        # A nan frequency read "frequency grid must be strictly increasing".
+        with pytest.raises(ValueError, match="samples must be finite"):
+            TabulatedPacket.normalized(np.array([0.0, np.nan, 1.0]), np.ones(3))
+
     def test_tabulated_normalized_factor(self):
         grid = np.linspace(-5, 5, 201)
         raw = np.exp(-(grid**2) / 2.0) * (1 + 0j)
@@ -188,6 +193,45 @@ class TestAlphaInfinite:
         t = tabulated_gaussian(delay=0.7, n=12001)
         a = alpha_infinite_window(g, t)
         assert a.alpha_sq == pytest.approx(np.exp(-0.49), abs=1e-6)
+
+    @pytest.mark.parametrize("k", range(1, 400))
+    def test_delay_sweep_matches_analytic(self, k):
+        # Unit widths 0.25k apart, out to 100 widths. The Simpson doubling's
+        # stop test was fooled by aliasing at 53 of these delays by more than
+        # 1e-9 (0.932 for exp(-2500) at 50).
+        d = 0.25 * k
+        a = alpha_infinite_window(GaussianPacket(0.0, 1.0), GaussianPacket(0.0, 1.0, d))
+        assert abs(a.alpha_sq - np.exp(-d * d)) <= 1e-14
+
+    def test_gaussian_times_csv_matches_30_digit_reference(self, tmp_path):
+        # The packets_infinite entry of tools/cli_outputs.py, 3.9e-11 off by the doubling.
+        omega = np.linspace(-6.0, 6.0, 201).tolist()
+        amp = [np.exp(-w * w / 2.0).item() for w in omega]
+        path = tmp_path / "packet.csv"
+        path.write_text("omega,re,im\n" + "".join(f"{w!r},{a!r},0.0\n" for w, a in zip(omega, amp)))
+        a = alpha_infinite_window(GaussianPacket(0.0, 1.0, 0.3), read_packet_csv(path)[0])
+        exact = mpmath_linear_gaussian_alpha(omega, amp, 0.3)
+        assert abs(a.alpha - exact) <= 1e-15
+        assert abs(a.alpha_sq - abs(exact) ** 2) <= 1e-15
+
+    @pytest.mark.parametrize("width, other", [(1.0, 1.0), (0.5, 0.5), (0.25, 2.0)])
+    def test_every_beat_up_to_100_widths_is_answered(self, width, other):
+        # sigma_min * |delay| = 100 needs 16,000 panels, under the cap of 16,384.
+        psi, phi = GaussianPacket(0.3, width, 5.0), GaussianPacket(0.3, other, 5.0 + 100.0 / width)
+        assert alpha_infinite_window(psi, phi).alpha_sq <= 1e-14
+
+    def test_beat_past_the_cap_raises(self):
+        psi = GaussianPacket(0.0, 1.0)
+        with pytest.raises(QuadratureNotConverged, match="its 103 s delay beat needs more than 16384 panels"):
+            alpha_infinite_window(psi, GaussianPacket(0.0, 1.0, 103.0))
+        with pytest.raises(QuadratureNotConverged, match="its inf s delay beat"):
+            alpha_infinite_window(GaussianPacket(0.0, 1.0, -1e308), GaussianPacket(0.0, 1.0, 1e308))
+
+    def test_common_delay_adds_no_panels(self):
+        # Only the relative delay beats: counted, a shared delay of 1e4 widths
+        # would ask for 1.6e6 panels and raise.
+        psi, phi = GaussianPacket(0.0, 1.0, 1e4), GaussianPacket(0.0, 1.0, 1e4 + 0.5)
+        assert alpha_infinite_window(psi, phi).alpha_sq == pytest.approx(np.exp(-0.25), abs=1e-11)
 
     @given(st.floats(min_value=-np.pi, max_value=np.pi))
     @settings(max_examples=20, deadline=None)
@@ -334,9 +378,9 @@ class TestCsvReader:
 
 
 def loop_refined_integral(fn, lo, hi, breaks, tol, max_level=14):
-    """The per-segment Simpson doubling loop the array quadrature replaced.
+    """The per-segment Simpson doubling loop the infinite window once ran.
 
-    Kept verbatim as the oracle: one fn call per segment and level, every
+    Kept as an independent oracle: one fn call per segment and level, every
     node re-evaluated, segments summed in order.
     """
     if hi <= lo:
@@ -365,17 +409,19 @@ def loop_refined_integral(fn, lo, hi, breaks, tol, max_level=14):
     raise QuadratureNotConverged("oracle did not converge")
 
 
+def loop_breakpoints(packet):
+    return packet.omega if isinstance(packet, TabulatedPacket) else np.empty(0)
+
+
 def loop_alpha(psi, phi):
-    """Infinite-window alpha from three separate oracle integrals."""
-    tol = wavepacket._QUAD_TOL
+    """Infinite-window alpha from three separate oracle integrals, each doubled to a 1e-9 step."""
+    tol = 1e-9
     lo = max(psi.support()[0], phi.support()[0])
     hi = min(psi.support()[1], phi.support()[1])
-    breaks = np.concatenate([wavepacket._breakpoints(psi), wavepacket._breakpoints(phi)])
+    breaks = np.concatenate([loop_breakpoints(psi), loop_breakpoints(phi)])
     num = loop_refined_integral(lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, breaks, tol)
     norms = [
-        loop_refined_integral(
-            lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), wavepacket._breakpoints(p), tol
-        ).real
+        loop_refined_integral(lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), loop_breakpoints(p), tol).real
         for p in (psi, phi)
     ]
     return OverlapAlpha(complex(num) / np.sqrt(norms[0] * norms[1]))
@@ -414,6 +460,37 @@ def mpmath_gaussian_alpha(psi, phi, t, tau):
     return complex(num / mpmath.sqrt(d_psi * d_phi))
 
 
+def mpmath_linear_gaussian_alpha(omega, amp, delay):
+    """Infinite-window alpha of a unit-width Gaussian and a real linear interpolant, at 30 digits.
+
+    On each grid segment the cross integrand is (c0 + c1 w) exp(-w^2 / 4 + i delay w),
+    whose integral is closed in erf; the interpolant's norm is exact per segment.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    a, b = mpmath.mpf(1) / 4, 1j * mpmath.mpf(delay)
+
+    def moment0(w):  # an antiderivative of exp(-a w^2 + b w)
+        return mpmath.sqrt(mpmath.pi / a) / 2 * mpmath.exp(b * b / (4 * a)) * mpmath.erf(
+            mpmath.sqrt(a) * w - b / (2 * mpmath.sqrt(a))
+        )
+
+    def moment1(w):  # an antiderivative of w exp(-a w^2 + b w)
+        return -mpmath.exp(-a * w * w + b * w) / (2 * a) + b / (2 * a) * moment0(w)
+
+    x, y = [mpmath.mpf(w) for w in omega], [mpmath.mpf(v) for v in amp]
+    m0, m1 = [moment0(w) for w in x], [moment1(w) for w in x]
+    num = norm = 0
+    for i in range(len(x) - 1):
+        h = x[i + 1] - x[i]
+        c1 = (y[i + 1] - y[i]) / h
+        num += (y[i] - c1 * x[i]) * (m0[i + 1] - m0[i]) + c1 * (m1[i + 1] - m1[i])
+        norm += h * (y[i] ** 2 + y[i] * y[i + 1] + y[i + 1] ** 2) / 3
+    num *= (2 * mpmath.pi) ** mpmath.mpf(-0.25)
+    gaussian_norm = mpmath.erf(8 / mpmath.sqrt(2))  # over its +-8 sigma support
+    return complex(num / mpmath.sqrt(norm * gaussian_norm))
+
+
 def quadrature_pairs():
     """Tabulated pairs at the benchmark's sample counts, and Gaussian pairs."""
     for n in (201, 401, 801):
@@ -442,39 +519,6 @@ class TestArrayQuadrature:
         new = alpha_finite_window(psi, phi, *window)
         assert abs(new.alpha_sq - abs(exact) ** 2) <= 1e-13
         assert abs(new.alpha - exact) <= 1e-13
-
-    def test_scalar_integral_matches_loop_oracle(self):
-        fn = lambda x: np.exp(1j * 3.0 * x) / (1.0 + x**2)  # noqa: E731
-        breaks = np.linspace(-2.0, 3.0, 90)  # enough segments for the shallow start
-        for lo, hi, br in ((-1.0, 2.0, ()), (-2.5, 3.5, breaks)):
-            new = wavepacket._refined_integral(fn, lo, hi, br, 1e-12)
-            assert abs(new - loop_refined_integral(fn, lo, hi, br, 1e-12)) <= 1e-15
-
-    def test_refinement_stops_at_the_integrands_own_level(self):
-        smooth = lambda x: np.exp(-x)  # noqa: E731
-        wiggly = lambda x: np.cos(40.0 * x) * x  # noqa: E731
-        calls = {}
-
-        def counted(name, f):
-            def g(x):
-                calls[name] = calls.get(name, 0) + 1
-                return f(x)
-
-            return g
-
-        for br in ((), (0.5, 1.2)):
-            calls.clear()
-            for name, f in (("smooth", smooth), ("wiggly", wiggly)):
-                got = wavepacket._refined_integral(counted(name, f), 0.0, 2.0, br, 1e-9)
-                assert abs(got - loop_refined_integral(f, 0.0, 2.0, br, 1e-9)) <= 1e-15
-            assert calls["smooth"] < calls["wiggly"]  # one stops at a shallower level
-
-    def test_empty_interval_is_zero(self):
-        assert wavepacket._refined_integral(np.cos, 1.0, 1.0, (), 1e-9) == 0.0
-
-    def test_stalled_doubling_raises(self):
-        with pytest.raises(QuadratureNotConverged, match=r"last refinement step [1-9]"):
-            wavepacket._refined_integral(lambda x: np.cos(1e4 * x), 0.0, 1.0, (), 1e-9, max_level=4)
 
     def test_unresolvable_window_raises(self):
         # Carriers 1e6 apart beat faster than 2^14 nodes per window resolve.
@@ -531,11 +575,12 @@ class TestGaussLegendreWindow:
     def test_rule_matches_numpy_leggauss(self):
         from numpy.polynomial.legendre import leggauss
 
-        x, w = leggauss(24)
-        nodes, weights = wavepacket._gauss_legendre(24)
-        assert np.max(np.abs(nodes - x)) <= 1e-15
-        assert np.max(np.abs(weights - w)) <= 2e-15
-        assert np.all(np.diff(nodes) > 0.0)
+        for n in (4, 24):  # the infinite and the finite window's rule
+            x, w = leggauss(n)
+            nodes, weights = wavepacket._gauss_legendre(n)
+            assert np.max(np.abs(nodes - x)) <= 1e-15
+            assert np.max(np.abs(weights - w)) <= 2e-15
+            assert np.all(np.diff(nodes) > 0.0)
 
     @pytest.mark.parametrize("delay", [0.05, 0.7])
     def test_faint_windows_match_dense_oracle(self, delay):

@@ -10,7 +10,9 @@ set in-process through ``cli.main`` and writes one JSON line per run to OUT:
 the two files; any difference is a change in what the CLI prints or returns.
 
 The set: ``analyze`` on 8 presets x 6 alphas, on 12 Haar-random splitter
-files x 4 alphas and on wavepacket configs (all under both statistics), a few
+files x 4 alphas and on wavepacket configs (Gaussian x CSV in both windows,
+Gaussian x Gaussian at an ordinary and a far delay and CSV x CSV in the
+infinite window; all under both statistics), a few
 malformed scattering and packet files, ``scan --grid 60x60`` under both
 statistics and ``verify --count 25`` at four seeds. The input files are
 written into a fresh working directory and passed by relative name, so
@@ -41,6 +43,7 @@ HAAR_SEEDS = range(12)
 HAAR_ALPHAS = (0.1, 0.4, 0.7, 1.0)
 STATISTICS = ("bosonic", "fermionic")
 VERIFY_SEEDS = (0, 7, 31, 100)
+PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
 
 
 def _haar(seed: int) -> np.ndarray:
@@ -67,6 +70,8 @@ def write_inputs(workdir: Path) -> None:
         (workdir / f"haar{seed}_cfg.json").write_text(json.dumps({"scattering": {"file": f"haar{seed}.json"}}))
     omega = np.linspace(-6.0, 6.0, 201).tolist()
     (workdir / "packet.csv").write_text(_packet_csv(omega, [math.exp(-w * w / 2.0) for w in omega]))
+    shifted = np.linspace(-7.0, 5.0, 161).tolist()  # its nodes interleave with packet.csv's
+    (workdir / "packet_wide.csv").write_text(_packet_csv(shifted, [math.exp(-w * w / 3.0) for w in shifted]))
     (workdir / "descending.csv").write_text(_packet_csv([3.0, 2.0, 1.0], [0.5, 1.0, 0.5]))
     (workdir / "repeated.csv").write_text(_packet_csv([1.0, 2.0, 2.0, 3.0], [0.5, 1.0, 1.0, 0.5]))
     bad = {"re_null": {"re": None, "im": None}, "re_number": {"re": 5}, "rows_fraction": {"rows": 4.5}}
@@ -76,6 +81,9 @@ def write_inputs(workdir: Path) -> None:
     configs = {
         "packets_infinite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": "infinite"},
         "packets_finite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": {"t": 0.1, "tau": 2.5}},
+        "packets_gauss": {"psi": gaussian, "phi": {"gaussian": {"center": 0.0, "width": 1.0, "delay": 1.4}}},
+        "packets_gauss_far": {"psi": gaussian, "phi": {"gaussian": {"center": 0.0, "width": 1.0, "delay": 50.3}}},
+        "packets_csv": {"psi": {"csv": "packet.csv"}, "phi": {"csv": "packet_wide.csv"}, "window": "infinite"},
         "packets_descending": {"psi": gaussian, "phi": {"csv": "descending.csv"}},
         "packets_repeated": {"psi": gaussian, "phi": {"csv": "repeated.csv"}},
     }
@@ -98,7 +106,7 @@ def comparison_set() -> list[list[str]]:
             for s in HAAR_SEEDS
             for a in HAAR_ALPHAS
         ]
-        runs += [["analyze", "--config", f"packets_{w}.json", *flag] for w in ("infinite", "finite")]
+        runs += [["analyze", "--config", f"packets_{w}.json", *flag] for w in PACKET_CONFIGS]
     runs += [["analyze", "--config", f"{name}_cfg.json"] for name in ("re_null", "re_number", "rows_fraction")]
     runs += [["analyze", "--config", f"packets_{name}.json"] for name in ("descending", "repeated")]
     runs += [["scan", "--grid", "60x60", "--statistics", stats] for stats in STATISTICS]
