@@ -5,7 +5,8 @@ eigenvalues of the correlation tensor square versus its numerically
 diagonalized spectrum (the Horodecki criterion), and an oracle that builds
 explicit analyzer settings from the plane-normal reduction and measures CHSH
 from coincidence probabilities. Their agreement is the standing consistency
-test of the whole pipeline.
+test of the whole pipeline: ``evaluate`` takes every route once at one point
+and compares nothing, ``emax`` is the one place that compares them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 
 from . import state as state_mod
 from .scattering import GammaPair, GramInvariants, HybridMatrix, gammas, realize_hybrid
-from .smallmat import ConsistencyError, PAULIS, as_cmat, dagger, first_where, is_unitary
-from .state import PolarizationState, closed_form_inputs, mixture_norm
+from .smallmat import DEFAULT_TOLERANCES, PAULIS, ConsistencyError, Tolerances, as_cmat, dagger, first_where
+from .smallmat import is_unitary
+from .state import ConcurrenceReport, PolarizationState, closed_form_inputs, mixture_norm
 
 __all__ = [
     "AnalyzerSetting",
@@ -176,6 +178,34 @@ def emax_and_branch(u):
     return (float(e), branch) if np.ndim(e) == 0 else (e, branch)
 
 
+class Evaluation(NamedTuple):
+    """Every route's value at one (amplitude pair, |alpha|^2), each taken once."""
+
+    state: PolarizationState  # rho, with the eigenvalues its validation found
+    concurrence: ConcurrenceReport  # C three ways and the Mandel numbers
+    u: tuple[float, float, float]  # closed-form spectrum of R^T R
+    emax_closed: float
+    branch: str
+    corr: np.ndarray  # R by direct traces, past its own two-route gate
+    spectrum: np.ndarray  # eigvalsh(R^T R), ascending
+    emax_horodecki: float
+
+
+def evaluate(X: HybridMatrix, alpha_sq: float, g: GammaPair) -> Evaluation:
+    """Build rho from the amplitude pair ``g`` once and take every route on it and on ``X`` once.
+
+    ``X`` is the same splitter's hybrid matrix. Nothing is compared here and no
+    oracle runs: ``emax`` and the verify campaign do both.
+    """
+    rho = state_mod.build_rho(g, alpha_sq)
+    concurrence = state_mod.concurrence_report(rho, X)
+    u = u_eigen_closed(X, alpha_sq, g.statistics)
+    corr = correlation_matrix(rho)
+    spectrum = np.linalg.eigvalsh(corr.T @ corr)
+    emax_h = float(2.0 * np.sqrt(max(0.0, spectrum[-1] + spectrum[-2])))
+    return Evaluation(rho, concurrence, u, *emax_and_branch(u), corr, spectrum, emax_h)
+
+
 class BellReport(NamedTuple):
     """Maximal CHSH value via the closed form, the Horodecki spectrum and the optimizer."""
 
@@ -187,9 +217,10 @@ class BellReport(NamedTuple):
     emax_bruteforce: float
     violating: bool
     branch: str  # 'u3_active' or 'u2_active'
+    evaluation: Evaluation  # every route behind the numbers above; not part of the JSON
 
     def to_json(self) -> dict:
-        return self._asdict()
+        return {k: v for k, v in self._asdict().items() if k != "evaluation"}
 
 
 def emax(
@@ -197,41 +228,29 @@ def emax(
     alpha_sq: float,
     gamma_pair: GammaPair | None = None,
     statistics: str = "bosonic",
-    tol: float = 1e-8,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> BellReport:
-    """Maximal CHSH value of the postselected state, all three routes.
+    """Maximal CHSH value of the postselected state: one ``evaluate``, its four gates and the oracle.
 
-    If no amplitude pair is supplied, a scattering matrix realizing the
-    hybrid matrix is constructed for the numeric routes; the result depends
-    only on the Gram matrix, which the closed/numeric agreement check
-    (tolerance ``tol``) re-verifies on every call.
+    The gates raise ConsistencyError: closed C against generic C (``tolerances.oracle``) and the
+    amplitude form (``tolerances.identity``), closed E_max against Horodecki (``tolerances.oracle``)
+    and both against Tsirelson's bound. Without ``gamma_pair``, a splitter realizing ``X`` supplies one.
     """
-    if gamma_pair is not None:
-        statistics = gamma_pair.statistics
-    u = u_eigen_closed(X, alpha_sq, statistics)
-    emax_closed, branch = emax_and_branch(u)
-
-    if gamma_pair is None:
-        gamma_pair = gammas(realize_hybrid(X.gram), statistics)
-    rho = state_mod.build_rho(gamma_pair, alpha_sq)
-    corr = correlation_matrix(rho)
-    spectrum = np.linalg.eigvalsh(corr.T @ corr)
-    emax_h = 2.0 * np.sqrt(max(0.0, spectrum[-1] + spectrum[-2]))
-    if abs(emax_h - emax_closed) > tol:
+    g = gammas(realize_hybrid(X.gram), statistics) if gamma_pair is None else gamma_pair
+    ev = evaluate(X, alpha_sq, g)
+    c = ev.concurrence
+    if abs(c.c_closed - c.c_wootters) > tolerances.oracle:
+        raise ConsistencyError(f"concurrence routes disagree: closed {c.c_closed} vs generic {c.c_wootters}")
+    if abs(c.c_closed - c.c_gamma) > tolerances.identity:
+        raise ConsistencyError(f"concurrence routes disagree: closed {c.c_closed} vs amplitude form {c.c_gamma}")
+    if abs(ev.emax_horodecki - ev.emax_closed) > tolerances.oracle:
         raise ConsistencyError(
-            f"closed-form and Horodecki maxima disagree: {emax_closed} vs {emax_h}"
+            f"closed-form and Horodecki maxima disagree: {ev.emax_closed} vs {ev.emax_horodecki}"
         )
-    emax_bf = chsh_bruteforce(rho, corr)
-    if emax_closed > TSIRELSON + 1e-8 or emax_h > TSIRELSON + 1e-8:
+    emax_bf = chsh_bruteforce(ev.state, ev.corr)
+    if ev.emax_closed > TSIRELSON + 1e-8 or ev.emax_horodecki > TSIRELSON + 1e-8:
         raise ConsistencyError("CHSH maximum exceeds the quantum bound")
-    return BellReport(
-        *u,
-        emax_closed=emax_closed,
-        emax_horodecki=float(emax_h),
-        emax_bruteforce=float(emax_bf),
-        violating=emax_closed > 2.0,
-        branch=branch,
-    )
+    return BellReport(*ev.u, ev.emax_closed, ev.emax_horodecki, float(emax_bf), ev.emax_closed > 2.0, ev.branch, ev)
 
 
 def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import __version__, bell, decomp, regions, scattering, state, verify, wavepacket
+from . import __version__, bell, decomp, regions, scattering, verify, wavepacket
 from .decomp import DegenerateXi
 from .smallmat import ConsistencyError, Tolerances, mat_from_json, mat_to_json
 from .state import ZeroCoincidence
@@ -197,16 +197,8 @@ def cmd_analyze(args) -> int:
     x = scattering.hybrid(sm)
     a = alpha.alpha_sq
 
-    report = state.concurrence_report(g, x, a)
-    if abs(report.c_closed - report.c_wootters) > tolerances.oracle:
-        raise ConsistencyError(
-            f"concurrence routes disagree: closed {report.c_closed} vs generic {report.c_wootters}"
-        )
-    if abs(report.c_closed - report.c_gamma) > tolerances.identity:
-        raise ConsistencyError(
-            f"concurrence routes disagree: closed {report.c_closed} vs amplitude form {report.c_gamma}"
-        )
-    bell_report = bell.emax(x, a, gamma_pair=g, tol=tolerances.oracle)
+    bell_report = bell.emax(x, a, gamma_pair=g, tolerances=tolerances)
+    report = bell_report.evaluation.concurrence
 
     try:
         sp = decomp.semi_polar(g)
@@ -241,7 +233,7 @@ def cmd_analyze(args) -> int:
         "mandel": {
             "dip": report.mandel_dip,
             "coincidence_prob": report.coincidence_prob,
-            "classical_prob": report.classical_prob,
+            "classical_prob": report.mandel.classical_prob,
         },
         "bell": bell_report.to_json(),
         "semi_polar": semi,

@@ -3,7 +3,8 @@
 The density matrix is the rank-<=2 mixture of the symmetric and antisymmetric
 amplitude matrices weighted by (1 +- |alpha|^2). Basis order of the flattened
 two-qubit indices is (HH, HV, VH, VV), shared with the bell module so the
-Pauli tensor indexing agrees.
+Pauli tensor indexing agrees. ``concurrence_report`` takes the three
+concurrence routes on a built state; ``bell.emax`` compares them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "mixture_norm",
     "closed_form_inputs",
     "concurrence_from_invariants",
-    "coincidence_denominator",
     "concurrence_closed",
     "concurrence_gamma",
     "concurrence_wootters",
@@ -76,21 +76,22 @@ def vec(gamma) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PolarizationState:
-    """4x4 Hermitian unit-trace density matrix with optional build provenance."""
+    """4x4 Hermitian unit-trace density matrix, its optional build provenance and validated eigenvalues."""
 
     rho: np.ndarray
     alpha_sq: float | None = None
     gammas: GammaPair | None = None
+    eigenvalues: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, rho, tol: float = 1e-10) -> "PolarizationState":
         """Wrap an externally supplied density matrix (no rank restriction)."""
         m = as_cmat(rho, 4)
-        _validate_density(m, tol, check_rank=False)
-        return cls(m)
+        return cls(m, eigenvalues=_validate_density(m, tol, check_rank=False))
 
 
-def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> None:
+def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> np.ndarray:
+    """The descending eigenvalues of a valid density matrix; ValueError names the first rule it breaks."""
     if max_abs(rho - dagger(rho)) > 1e-12:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
@@ -100,6 +101,7 @@ def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {evals[-1]:.3e}")
     if check_rank and evals[2] > tol:
         raise ValueError(f"density matrix rank exceeds 2 (third eigenvalue {evals[2]:.3e})")
+    return evals
 
 
 def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
@@ -110,8 +112,8 @@ def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     rho = (
         (1.0 + alpha_sq) * np.outer(v1, v1.conj()) + (1.0 - alpha_sq) * np.outer(v2, v2.conj())
     ) / norm
-    _validate_density(rho, 1e-10, check_rank=True)
-    return PolarizationState(rho, alpha_sq=alpha_sq, gammas=g)
+    evals = _validate_density(rho, 1e-10, check_rank=True)
+    return PolarizationState(rho, alpha_sq=alpha_sq, gammas=g, eigenvalues=evals)
 
 
 def mixture_norm(inv: GramInvariants, alpha_sq):
@@ -133,15 +135,6 @@ def concurrence_from_invariants(inv: GramInvariants, alpha_sq, norm):
     """
     c = 2.0 * alpha_sq * inv.tt / norm
     return np.where(c < 0.0, 0.0, np.where(c > 1.0, 1.0, c))
-
-
-def coincidence_denominator(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
-    """Probability of one photon on each side, expressed through the hybrid Gram matrix.
-
-    For fermions the permanent and determinant trade places (the amplitude
-    matrices swap), turning the bunching dip into an antibunching peak.
-    """
-    return float(mixture_norm(X.invariants(statistics), alpha_sq) / 2.0)
 
 
 def concurrence_closed(X: HybridMatrix, alpha_sq: float, statistics: str = "bosonic") -> float:
@@ -193,23 +186,18 @@ class ConcurrenceReport(NamedTuple):
     c_closed: float
     c_gamma: float
     c_wootters: float
-    mandel_dip: float
-    coincidence_prob: float
-    classical_prob: float
+    coincidence_prob: float  # one photon on each side, from the hybrid Gram matrix
+    mandel: MandelDip  # the bosonic split from the Gram entries
+
+    @property
+    def mandel_dip(self) -> float:
+        """Coincidence minus classical probability: a bunching dip, or for fermions an antibunching peak."""
+        return self.coincidence_prob - self.mandel.classical_prob
 
 
-def concurrence_report(g: GammaPair, X: HybridMatrix, alpha_sq: float) -> ConcurrenceReport:
-    """Evaluate the closed form, the amplitude-trace form and the generic formula."""
-    state = build_rho(g, alpha_sq)
-    coincidence = coincidence_denominator(X, alpha_sq, g.statistics)
-    # For fermions the interference term flips sign (antibunching); report the
-    # deviation from the classical probability consistently in both cases.
-    classical = mandel_dip(X, alpha_sq).classical_prob
-    return ConcurrenceReport(
-        c_closed=concurrence_closed(X, alpha_sq, g.statistics),
-        c_gamma=concurrence_gamma(g, alpha_sq),
-        c_wootters=concurrence_wootters(state),
-        mandel_dip=coincidence - classical,
-        coincidence_prob=coincidence,
-        classical_prob=classical,
-    )
+def concurrence_report(state: PolarizationState, X: HybridMatrix) -> ConcurrenceReport:
+    """The closed, amplitude-trace and generic concurrences of a ``build_rho`` state; ``X`` is its splitter's."""
+    g, a = state.gammas, state.alpha_sq
+    c_closed, c_gamma = concurrence_closed(X, a, g.statistics), concurrence_gamma(g, a)
+    coincidence = float(mixture_norm(X.invariants(g.statistics), a) / 2.0)
+    return ConcurrenceReport(c_closed, c_gamma, concurrence_wootters(state), coincidence, mandel_dip(X, a))

@@ -18,7 +18,7 @@ import numpy as np
 from . import bell, decomp, scattering, state
 from .scattering import DegenerateTransmission
 from .decomp import DegenerateXi
-from .smallmat import SIGMA_IN, dagger, haar_unitary, herm_eigen, max_abs, tilde2
+from .smallmat import SIGMA_IN, dagger, haar_unitary, max_abs, tilde2
 
 __all__ = ["SuiteResult", "run_campaign", "format_report", "ALPHA_LADDER", "SUITE_TOLERANCES"]
 
@@ -85,38 +85,32 @@ def run_campaign(count: int, seed: int) -> list[SuiteResult]:
                 sp = None
 
             for a in (*ALPHA_LADDER, float(random_alphas[i])):
-                rho = state.build_rho(g, a)
-                evals = herm_eigen(rho.rho).eigenvalues
+                ev = bell.evaluate(x, a, g)
+                evals, c = ev.state.eigenvalues, ev.concurrence
                 suites["state_positivity"].absorb(max(0.0, -evals[-1]))
                 suites["state_positivity"].absorb(max(0.0, evals[2]))
 
-                c_closed = state.concurrence_closed(x, a)
-                suites["concurrence_wootters"].absorb(abs(c_closed - state.concurrence_wootters(rho)))
-                suites["concurrence_gamma"].absorb(abs(c_closed - state.concurrence_gamma(g, a)))
+                suites["concurrence_wootters"].absorb(abs(c.c_closed - c.c_wootters))
+                suites["concurrence_gamma"].absorb(abs(c.c_closed - c.c_gamma))
 
                 norm = state.mixture_norm(g.invariants, a)
-                suites["mandel_identity"].absorb(abs(state.mandel_dip(x, a).coincidence_prob - norm / 2.0))
+                suites["mandel_identity"].absorb(abs(c.mandel.coincidence_prob - norm / 2.0))
 
-                u = bell.u_eigen_closed(x, a)
-                u_closed = np.sort(u)
-                corr = bell.correlation_matrix(rho)
-                u_num = np.sort(np.linalg.eigvalsh(corr.T @ corr))
-                suites["bell_spectrum"].absorb(np.abs(u_closed - u_num).max())
+                u_closed = np.sort(ev.u)
+                suites["bell_spectrum"].absorb(np.abs(u_closed - ev.spectrum).max())
                 if sp is not None:
                     rp = decomp.r_prime(sp, a, norm)
                     u_rp = np.sort(np.asarray(rp.eigenvalues_squared()))
                     suites["bell_spectrum"].absorb(np.abs(u_closed - u_rp).max())
 
-                e_closed, _ = bell.emax_and_branch(u)
-                e_h = 2.0 * np.sqrt(max(0.0, u_num[2] + u_num[1]))
-                suites["horodecki_vs_closed"].absorb(abs(e_closed - e_h))
+                suites["horodecki_vs_closed"].absorb(abs(ev.emax_closed - ev.emax_horodecki))
                 if a == 1.0:
-                    suites["gisin_pure"].absorb(abs(e_closed - 2.0 * np.sqrt(1.0 + c_closed**2)))
+                    suites["gisin_pure"].absorb(abs(ev.emax_closed - 2.0 * np.sqrt(1.0 + c.c_closed**2)))
 
-            # The ladder ends on the random alpha: rho, corr and e_h belong to it.
-            e_bf = bell.chsh_bruteforce(rho, corr)
-            suites["bruteforce_gap"].absorb(max(0.0, e_h - e_bf))
-            suites["bruteforce_excess"].absorb(max(0.0, e_bf - e_h))
+            # The ladder ends on the random alpha: the oracle measures its state.
+            e_bf = bell.chsh_bruteforce(ev.state, ev.corr)
+            suites["bruteforce_gap"].absorb(max(0.0, ev.emax_horodecki - e_bf))
+            suites["bruteforce_excess"].absorb(max(0.0, e_bf - ev.emax_horodecki))
 
             try:
                 factors = scattering.polar_decompose_s(sm)

@@ -141,10 +141,13 @@ class TabulatedPacket:
 
     def __post_init__(self):
         omega, amp = _checked_samples(self.omega, self.amp)
-        object.__setattr__(self, "omega", omega.copy())
-        object.__setattr__(self, "amp", amp.copy())
-        object.__setattr__(self, "_weights", simpson_weights(omega))
-        norm = float(np.sum(self._weights * np.abs(amp) ** 2))
+        self._store(omega.copy(), amp.copy(), simpson_weights(omega))
+
+    def _store(self, omega: np.ndarray, amp: np.ndarray, weights: np.ndarray) -> None:
+        """Keep checked samples and their weights, which must integrate |amp|^2 to 1."""
+        for name, value in (("omega", omega), ("amp", amp), ("_weights", weights)):
+            object.__setattr__(self, name, value)
+        norm = float(np.sum(weights * np.abs(amp) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"packet is not normalized: integral |amp|^2 = {norm:.10f}")
 
@@ -152,11 +155,14 @@ class TabulatedPacket:
     def normalized(cls, omega, amp) -> tuple["TabulatedPacket", float]:
         """Normalize raw samples; returns the packet and the applied factor."""
         omega, amp = _checked_samples(omega, amp)
-        norm = float(np.sum(simpson_weights(omega) * np.abs(amp) ** 2))
+        weights = simpson_weights(omega)
+        norm = float(np.sum(weights * np.abs(amp) ** 2))
         if norm <= 0.0:
             raise ValueError("cannot normalize a zero packet")
         factor = 1.0 / np.sqrt(norm)
-        return cls(omega, amp * factor), factor
+        packet = object.__new__(cls)  # checked and weighted above: __init__ would do both again
+        packet._store(omega.copy(), amp * factor, weights)
+        return packet, factor
 
     def support(self) -> tuple[float, float]:
         return (float(self.omega[0]), float(self.omega[-1]))
@@ -317,7 +323,7 @@ def alpha_finite_window(psi: Wavepacket, phi: Wavepacket, t: float, tau: float) 
     panels = beat * tau / 16.0  # the fastest beat turns through at most 16 rad per panel
     if not panels <= _MAX_PANELS:
         raise QuadratureNotConverged(
-            f"integral over [{lo:g}, {hi:g}] did not stabilize: its {beat:g} rad/s beat "
+            f"integral over [{lo:g}, {hi:g}] is out of reach: its {beat:g} rad/s beat "
             f"needs more than {_MAX_PANELS} panels of 24 Gauss-Legendre nodes"
         )
     n = max(1, math.ceil(panels))

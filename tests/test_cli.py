@@ -1,10 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bellsplit import bell as bell_mod
 from bellsplit import scattering as scattering_mod
+from bellsplit import smallmat as smallmat_mod
 from bellsplit.cli import main
 from bellsplit.smallmat import mat_to_json
 from bellsplit import state as state_mod
@@ -27,6 +30,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_callers(monkeypatch, *functions):
+    """Name of the calling function, per call of each of ``functions``, from here on.
+
+    Each function is rebound in every bellsplit module that binds it, so calls
+    between modules are counted too.
+    """
+    callers = {fn.__name__: [] for fn in functions}
+    modules = [m for key, m in sys.modules.items() if key == "bellsplit" or key.startswith("bellsplit.")]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            callers[fn.__name__].append(sys._getframe(1).f_code.co_name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in functions:
+        for module in modules:
+            if vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    return callers
+
+
 class TestAnalyze:
     def test_balanced_full_overlap(self, capsys):
         code, out, _ = run(capsys, "analyze", "--preset", "balanced_pc", "--alpha-sq", "1.0")
@@ -47,6 +73,14 @@ class TestAnalyze:
         assert len(calls) == 1
         mandel = json.loads(out)["mandel"]
         assert mandel["dip"] == mandel["coincidence_prob"] - mandel["classical_prob"]
+
+    def test_state_built_and_validated_once(self, capsys, monkeypatch):
+        # Every route reads the one rho: its validation and Wootters' square root are the two eigensolves.
+        callers = count_callers(monkeypatch, state_mod.build_rho, smallmat_mod.herm_eigen)
+        code, _, _ = run(capsys, "analyze", "--preset", "balanced_mixing(0.6)", "--alpha-sq", "0.5")
+        assert code == 0
+        assert len(callers["build_rho"]) == 1
+        assert len(callers["herm_eigen"]) == 2
 
     def test_gram_invariants_derived_once(self, capsys, monkeypatch):
         # The coincidence denominator, the closed concurrence and the closed
@@ -567,6 +601,16 @@ class TestVerify:
         notes = [line.split("FAIL", 1)[1].split(" (in ")[0] for line in out.splitlines() if line.startswith("raised")]
         assert notes == [f"    instance seed={s} alpha_sq=0.5: ValueError: planted" for s in (3, 4)]
 
+    def test_ladder_step_is_one_evaluation(self, monkeypatch):
+        routes = (state_mod.mandel_dip, state_mod.build_rho, bell_mod.u_eigen_closed)
+        callers = count_callers(monkeypatch, *routes, smallmat_mod.herm_eigen)
+        results = verify_mod.run_campaign(1, 5)
+        assert all(r.passed for r in results)
+        steps = len(verify_mod.ALPHA_LADDER) + 1
+        assert [len(callers[fn.__name__]) for fn in routes] == [steps] * 3
+        # The state's own validation found its eigenvalues; the campaign reads them.
+        assert "run_campaign" not in callers["herm_eigen"]
+
     def test_report_bytes_unchanged_without_raises(self):
         results = verify_mod.run_campaign(2, 4)
         assert all(r.note == "" for r in results)
@@ -593,9 +637,11 @@ class TestUsage:
             )
         )
         code, out, err = run(capsys, "analyze", "--config", str(config))
-        assert code == 2
-        assert out == ""
-        assert "did not stabilize" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: integral over [-1, 1] is out of reach: its 1.00002e+06 rad/s beat needs more than "
+            "682 panels of 24 Gauss-Legendre nodes\n"
+        )
 
     def test_infinite_window_beat_past_the_cap_exits_2(self, tmp_path, capsys):
         # A 200 s relative delay at unit width needs 32,000 panels over the 16 rad/s wide support.

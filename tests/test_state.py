@@ -10,7 +10,6 @@ from bellsplit.state import (
     ZeroCoincidence,
     build_rho,
     check_alpha_sq,
-    coincidence_denominator,
     concurrence_closed,
     concurrence_gamma,
     concurrence_report,
@@ -253,14 +252,14 @@ class TestMandelDip:
             g, x = pipeline(380_000 + i)
             for a in (0.0, 0.4, 1.0):
                 md = mandel_dip(x, a)
-                assert abs(md.coincidence_prob - coincidence_denominator(x, a)) <= 1e-12
+                assert abs(md.coincidence_prob - mixture_norm(x.invariants(), a) / 2) <= 1e-12
                 assert abs(md.coincidence_prob - mixture_norm(g.invariants, a) / 2.0) <= 1e-10
 
 
 class TestReport:
     def test_three_routes_agree(self):
         g, x = pipeline(390_000)
-        rep = concurrence_report(g, x, 0.42)
+        rep = concurrence_report(build_rho(g, 0.42), x)
         assert abs(rep.c_closed - rep.c_wootters) <= 1e-8
         assert abs(rep.c_closed - rep.c_gamma) <= 1e-10
         assert rep.coincidence_prob > 0.0
@@ -269,12 +268,12 @@ class TestReport:
         sm = preset("balanced_mixing", 0.8)
         g = gammas(sm, "fermionic")
         x = hybrid(sm)
-        rep = concurrence_report(g, x, 0.9)
+        rep = concurrence_report(build_rho(g, 0.9), x)
         assert rep.mandel_dip > 0.0  # antibunching raises the coincidence rate
 
     def test_report_carries_the_classical_probability(self):
         g, x = pipeline(390_001)
         for a in (0.0, 0.42, 1.0):
-            rep = concurrence_report(g, x, a)
-            assert rep.classical_prob == mandel_dip(x, a).classical_prob
-            assert rep.mandel_dip == rep.coincidence_prob - rep.classical_prob
+            rep = concurrence_report(build_rho(g, a), x)
+            assert rep.mandel == mandel_dip(x, a)
+            assert rep.mandel_dip == rep.coincidence_prob - rep.mandel.classical_prob

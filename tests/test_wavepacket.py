@@ -364,6 +364,18 @@ class TestCsvReader:
         norm = np.sum(simpson_weights(packet.omega) * np.abs(packet.amp) ** 2)
         assert norm == pytest.approx(1.0, abs=1e-12)
 
+    def test_samples_checked_and_weighted_once_per_read(self, tmp_path, monkeypatch):
+        grid = np.linspace(-6, 6, 201)
+        path = tmp_path / "packet.csv"
+        path.write_text("omega,re,im\n" + "".join(f"{w},{np.exp(-w * w / 2)},0.0\n" for w in grid))
+        calls = []
+        for name in ("_checked_samples", "simpson_weights"):
+            original = getattr(wavepacket, name)
+            monkeypatch.setattr(wavepacket, name, lambda *a, name=name, fn=original: calls.append(name) or fn(*a))
+        packet, _ = read_packet_csv(path)
+        assert sorted(calls) == ["_checked_samples", "simpson_weights"]
+        assert np.array_equal(packet.omega, grid)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0,0.0\n1.0,1.0,0.0\n")

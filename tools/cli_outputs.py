@@ -14,7 +14,12 @@ files x 4 alphas and on wavepacket configs (Gaussian x CSV in both windows,
 Gaussian x Gaussian at an ordinary and a far delay and CSV x CSV in the
 infinite window; all under both statistics), a few
 malformed scattering and packet files, ``scan --grid 60x60`` under both
-statistics and ``verify --count 25`` at four seeds. The input files are
+statistics, ``verify --count 25`` at four seeds and, last, the empty-corner
+sweep: ``analyze --preset "balanced_mixing(theta)" --alpha-sq 1`` at
+theta = pi/2 - d for 26 log-spaced d in [1e-8, 1e-3] under both statistics,
+with theta passed as its float ``repr``. Near d = 0 the postselected
+ensemble empties and the closed forms lose precision, so that sweep records
+the exits and messages of that corner. The input files are
 written into a fresh working directory and passed by relative name, so
 ``scattering_source`` and every message read the same on both trees. An
 exception that escapes ``cli.main`` is recorded as exit 1 with its last line,
@@ -44,6 +49,7 @@ HAAR_ALPHAS = (0.1, 0.4, 0.7, 1.0)
 STATISTICS = ("bosonic", "fermionic")
 VERIFY_SEEDS = (0, 7, 31, 100)
 PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
+CORNER_DISTANCES = tuple(float(d) for d in np.logspace(-8.0, -3.0, 26))
 
 
 def _haar(seed: int) -> np.ndarray:
@@ -111,6 +117,11 @@ def comparison_set() -> list[list[str]]:
     runs += [["analyze", "--config", f"packets_{name}.json"] for name in ("descending", "repeated")]
     runs += [["scan", "--grid", "60x60", "--statistics", stats] for stats in STATISTICS]
     runs += [["verify", "--count", "25", "--seed", str(seed)] for seed in VERIFY_SEEDS]
+    for stats in STATISTICS:
+        runs += [
+            ["analyze", "--preset", f"balanced_mixing({math.pi / 2.0 - d!r})", "--alpha-sq", "1", "--statistics", stats]
+            for d in CORNER_DISTANCES
+        ]
     return runs
 
 
