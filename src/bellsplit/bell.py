@@ -209,18 +209,29 @@ def evaluate(X: HybridMatrix, alpha_sq: float, g: GammaPair) -> Evaluation:
 class BellReport(NamedTuple):
     """Maximal CHSH value via the closed form, the Horodecki spectrum and the optimizer."""
 
-    u1: float
-    u2: float
-    u3: float
-    emax_closed: float
-    emax_horodecki: float
+    evaluation: Evaluation  # every route behind the closed and Horodecki values
     emax_bruteforce: float
-    violating: bool
-    branch: str  # 'u3_active' or 'u2_active'
-    evaluation: Evaluation  # every route behind the numbers above; not part of the JSON
+
+    @property
+    def emax_closed(self) -> float:
+        return self.evaluation.emax_closed
+
+    @property
+    def emax_horodecki(self) -> float:
+        return self.evaluation.emax_horodecki
+
+    @property
+    def violating(self) -> bool:
+        return self.evaluation.emax_closed > 2.0
+
+    @property
+    def branch(self) -> str:  # 'u3_active' or 'u2_active'
+        return self.evaluation.branch
 
     def to_json(self) -> dict:
-        return {k: v for k, v in self._asdict().items() if k != "evaluation"}
+        u1, u2, u3 = self.evaluation.u
+        return dict(u1=u1, u2=u2, u3=u3, emax_closed=self.emax_closed, emax_horodecki=self.emax_horodecki,
+                    emax_bruteforce=self.emax_bruteforce, violating=self.violating, branch=self.branch)
 
 
 def emax(
@@ -250,7 +261,7 @@ def emax(
     emax_bf = chsh_bruteforce(ev.state, ev.corr)
     if ev.emax_closed > TSIRELSON + 1e-8 or ev.emax_horodecki > TSIRELSON + 1e-8:
         raise ConsistencyError("CHSH maximum exceeds the quantum bound")
-    return BellReport(*ev.u, ev.emax_closed, ev.emax_horodecki, float(emax_bf), ev.emax_closed > 2.0, ev.branch, ev)
+    return BellReport(ev, float(emax_bf))
 
 
 def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:

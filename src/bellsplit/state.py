@@ -198,6 +198,8 @@ class ConcurrenceReport(NamedTuple):
 def concurrence_report(state: PolarizationState, X: HybridMatrix) -> ConcurrenceReport:
     """The closed, amplitude-trace and generic concurrences of a ``build_rho`` state; ``X`` is its splitter's."""
     g, a = state.gammas, state.alpha_sq
+    if g is None:
+        raise ValueError("concurrence_report needs a build_rho state: one that keeps its amplitude pair")
     c_closed, c_gamma = concurrence_closed(X, a, g.statistics), concurrence_gamma(g, a)
     coincidence = float(mixture_norm(X.invariants(g.statistics), a) / 2.0)
     return ConcurrenceReport(c_closed, c_gamma, concurrence_wootters(state), coincidence, mandel_dip(X, a))

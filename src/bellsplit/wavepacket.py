@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -137,32 +137,32 @@ class TabulatedPacket:
 
     omega: np.ndarray
     amp: np.ndarray
+    normalize: InitVar[bool] = False  # scale raw samples to unit norm, as :meth:`normalized` does
     _weights: np.ndarray = field(init=False, repr=False)
+    _factor: float = field(init=False, repr=False)  # the amplitude factor applied by ``normalize``
 
-    def __post_init__(self):
+    def __post_init__(self, normalize: bool):
         omega, amp = _checked_samples(self.omega, self.amp)
-        self._store(omega.copy(), amp.copy(), simpson_weights(omega))
-
-    def _store(self, omega: np.ndarray, amp: np.ndarray, weights: np.ndarray) -> None:
-        """Keep checked samples and their weights, which must integrate |amp|^2 to 1."""
-        for name, value in (("omega", omega), ("amp", amp), ("_weights", weights)):
-            object.__setattr__(self, name, value)
-        norm = float(np.sum(weights * np.abs(amp) ** 2))
+        weights = simpson_weights(omega)
+        factor = 1.0
+        if normalize:
+            norm = float(np.sum(weights * np.abs(amp) ** 2))
+            if norm <= 0.0:
+                raise ValueError("cannot normalize a zero packet")
+            factor = 1.0 / np.sqrt(norm)
+        object.__setattr__(self, "omega", omega.copy())
+        object.__setattr__(self, "amp", amp * factor)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_factor", factor)
+        norm = float(np.sum(weights * np.abs(self.amp) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"packet is not normalized: integral |amp|^2 = {norm:.10f}")
 
     @classmethod
     def normalized(cls, omega, amp) -> tuple["TabulatedPacket", float]:
         """Normalize raw samples; returns the packet and the applied factor."""
-        omega, amp = _checked_samples(omega, amp)
-        weights = simpson_weights(omega)
-        norm = float(np.sum(weights * np.abs(amp) ** 2))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize a zero packet")
-        factor = 1.0 / np.sqrt(norm)
-        packet = object.__new__(cls)  # checked and weighted above: __init__ would do both again
-        packet._store(omega.copy(), amp * factor, weights)
-        return packet, factor
+        packet = cls(omega, amp, normalize=True)
+        return packet, packet._factor
 
     def support(self) -> tuple[float, float]:
         return (float(self.omega[0]), float(self.omega[-1]))

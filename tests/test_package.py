@@ -77,8 +77,6 @@ UNREACHED = {
     "scattering.NotUnitary.__init__": "raised only for a matrix that is not unitary; error path only",
     "cli.entrypoint": "the console script; the paths below call cli.main",
     "state.PolarizationState.from_matrix": "tests build Bell, Werner and product states with it",
-    "wavepacket.TabulatedPacket.__post_init__": "checks a packet built from samples already normalized; "
-    "read_packet_csv goes through normalized, which checks and weights the samples once",
 }
 
 

@@ -277,3 +277,8 @@ class TestReport:
             rep = concurrence_report(build_rho(g, a), x)
             assert rep.mandel == mandel_dip(x, a)
             assert rep.mandel_dip == rep.coincidence_prob - rep.mandel.classical_prob
+
+    def test_report_of_a_wrapped_matrix_is_a_typed_error(self):
+        # A from_matrix state keeps no amplitude pair, so no closed or amplitude route exists.
+        with pytest.raises(ValueError, match="needs a build_rho state"):
+            concurrence_report(PolarizationState.from_matrix(BELL_PHI_PLUS), hybrid(preset("balanced_pc")))
