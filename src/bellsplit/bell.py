@@ -6,14 +6,16 @@ diagonalized spectrum (the Horodecki criterion), and an oracle that builds
 explicit analyzer settings from the plane-normal reduction and measures CHSH
 from coincidence probabilities. Their agreement is the standing consistency
 test of the whole pipeline: ``evaluate`` takes every route once at one point
-and compares nothing, ``emax`` is the one place that compares them.
+and compares nothing; ``ROUTE_CHECKS`` names each point-level comparison once,
+and ``emax`` and the verify campaign both read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,8 @@ __all__ = [
     "u_eigen_closed",
     "u_from_invariants",
     "emax_and_branch",
+    "RouteCheck",
+    "ROUTE_CHECKS",
     "emax",
     "chsh_bruteforce",
 ]
@@ -50,9 +54,9 @@ class AnalyzerSetting:
     rotation: np.ndarray
 
     def __post_init__(self):
-        m = as_cmat(self.rotation, 2)
-        if not is_unitary(m, 1e-12):
-            raise ValueError("analyzer rotation must be unitary within 1e-12")
+        m, tol = as_cmat(self.rotation, 2), DEFAULT_TOLERANCES.construction
+        if not is_unitary(m, tol):
+            raise ValueError(f"analyzer rotation must be unitary within {tol:g}")
         object.__setattr__(self, "rotation", m)
 
     @classmethod
@@ -90,12 +94,13 @@ _SIGMAS = np.array(PAULIS)
 _PAULI_PAIRS = np.array([np.kron(pk, pl).T.ravel() for pk in PAULIS for pl in PAULIS])
 
 
-def correlation_matrix(state: PolarizationState, tol: float = 1e-10) -> np.ndarray:
+def correlation_matrix(state: PolarizationState) -> np.ndarray:
     """3x3 real correlation tensor R_kl = Tr rho sigma_k x sigma_l by direct traces.
 
     When the state carries its build provenance the amplitude-form expression
-    is evaluated too; disagreement beyond ``tol`` raises ConsistencyError.
+    is evaluated too; disagreement beyond the identity rung raises ConsistencyError.
     """
+    tol = DEFAULT_TOLERANCES.identity
     # Bit-equal to the 4x4 traces (same pairwise sums); copied, as matmuls round by memory layout.
     r = (_PAULI_PAIRS * state.rho.ravel()).sum(axis=1).real.reshape(3, 3).copy()
     if np.abs(r).max() > 1.0 + tol:
@@ -212,54 +217,57 @@ class BellReport(NamedTuple):
     evaluation: Evaluation  # every route behind the closed and Horodecki values
     emax_bruteforce: float
 
-    @property
-    def emax_closed(self) -> float:
-        return self.evaluation.emax_closed
-
-    @property
-    def emax_horodecki(self) -> float:
-        return self.evaluation.emax_horodecki
-
-    @property
-    def violating(self) -> bool:
-        return self.evaluation.emax_closed > 2.0
-
-    @property
-    def branch(self) -> str:  # 'u3_active' or 'u2_active'
-        return self.evaluation.branch
-
     def to_json(self) -> dict:
-        u1, u2, u3 = self.evaluation.u
-        return dict(u1=u1, u2=u2, u3=u3, emax_closed=self.emax_closed, emax_horodecki=self.emax_horodecki,
-                    emax_bruteforce=self.emax_bruteforce, violating=self.violating, branch=self.branch)
+        ev = self.evaluation
+        u1, u2, u3 = ev.u
+        return dict(u1=u1, u2=u2, u3=u3, emax_closed=ev.emax_closed, emax_horodecki=ev.emax_horodecki,
+                    emax_bruteforce=self.emax_bruteforce, violating=ev.emax_closed > 2.0, branch=ev.branch)
+
+
+class RouteCheck(NamedTuple):
+    """Two routes to one value at a point, as ``emax`` gates them and the verify campaign absorbs them."""
+
+    suite: str  # the verify suite
+    rung: str  # the field of ``Tolerances`` that bounds the deviation
+    values: Callable[[Evaluation], tuple[float, float]]  # the two routes' values
+    message: str  # emax's ConsistencyError text, formatted with the two values
+
+    def deviation(self, ev: Evaluation) -> float:
+        first, second = self.values(ev)
+        return abs(first - second)
+
+
+#: The point-level comparisons, in the order ``emax`` raises them.
+ROUTE_CHECKS = (
+    RouteCheck("concurrence_wootters", "oracle", attrgetter("concurrence.c_closed", "concurrence.c_wootters"),
+               "concurrence routes disagree: closed {} vs generic {}"),
+    RouteCheck("concurrence_gamma", "identity", attrgetter("concurrence.c_closed", "concurrence.c_gamma"),
+               "concurrence routes disagree: closed {} vs amplitude form {}"),
+    RouteCheck("horodecki_vs_closed", "oracle", attrgetter("emax_closed", "emax_horodecki"),
+               "closed-form and Horodecki maxima disagree: {} vs {}"),
+)
 
 
 def emax(
     X: HybridMatrix,
     alpha_sq: float,
     gamma_pair: GammaPair | None = None,
-    statistics: str = "bosonic",
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> BellReport:
-    """Maximal CHSH value of the postselected state: one ``evaluate``, its four gates and the oracle.
+    """Maximal CHSH value of the postselected state: one ``evaluate``, its gates and the oracle.
 
-    The gates raise ConsistencyError: closed C against generic C (``tolerances.oracle``) and the
-    amplitude form (``tolerances.identity``), closed E_max against Horodecki (``tolerances.oracle``)
-    and both against Tsirelson's bound. Without ``gamma_pair``, a splitter realizing ``X`` supplies one.
+    Each ``ROUTE_CHECKS`` row raises ConsistencyError past its rung of ``tolerances``;
+    so do both maxima past Tsirelson's bound (by the default oracle rung, whatever
+    ``tolerances``). Without ``gamma_pair``, a bosonic splitter realizing ``X`` supplies one.
     """
-    g = gammas(realize_hybrid(X.gram), statistics) if gamma_pair is None else gamma_pair
+    g = gammas(realize_hybrid(X.gram)) if gamma_pair is None else gamma_pair
     ev = evaluate(X, alpha_sq, g)
-    c = ev.concurrence
-    if abs(c.c_closed - c.c_wootters) > tolerances.oracle:
-        raise ConsistencyError(f"concurrence routes disagree: closed {c.c_closed} vs generic {c.c_wootters}")
-    if abs(c.c_closed - c.c_gamma) > tolerances.identity:
-        raise ConsistencyError(f"concurrence routes disagree: closed {c.c_closed} vs amplitude form {c.c_gamma}")
-    if abs(ev.emax_horodecki - ev.emax_closed) > tolerances.oracle:
-        raise ConsistencyError(
-            f"closed-form and Horodecki maxima disagree: {ev.emax_closed} vs {ev.emax_horodecki}"
-        )
+    for check in ROUTE_CHECKS:
+        if check.deviation(ev) > getattr(tolerances, check.rung):
+            raise ConsistencyError(check.message.format(*check.values(ev)))
     emax_bf = chsh_bruteforce(ev.state, ev.corr)
-    if ev.emax_closed > TSIRELSON + 1e-8 or ev.emax_horodecki > TSIRELSON + 1e-8:
+    bound = TSIRELSON + DEFAULT_TOLERANCES.oracle
+    if ev.emax_closed > bound or ev.emax_horodecki > bound:
         raise ConsistencyError("CHSH maximum exceeds the quantum bound")
     return BellReport(ev, float(emax_bf))
 
@@ -288,11 +296,7 @@ def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:
     t = math.atan2(np.linalg.norm(corr @ d), np.linalg.norm(corr @ c))
     b = math.cos(t) * c + math.sin(t) * d
     bp = math.cos(t) * c - math.sin(t) * d
-    va, vap = corr @ (b + bp), corr @ (b - bp)
-    a_axis = va / np.linalg.norm(va) if np.linalg.norm(va) > 1e-14 else np.array([0.0, 0.0, 1.0])
-    ap_axis = vap / np.linalg.norm(vap) if np.linalg.norm(vap) > 1e-14 else np.array([0.0, 0.0, 1.0])
-    rl = AnalyzerSetting.from_axis(a_axis)
-    rlp = AnalyzerSetting.from_axis(ap_axis)
+    rl, rlp = (AnalyzerSetting.from_axis(_left_axis(corr @ v)) for v in (b + bp, b - bp))
     rr = AnalyzerSetting.from_axis(b)
     rrp = AnalyzerSetting.from_axis(bp)
     value = abs(
@@ -302,3 +306,9 @@ def chsh_bruteforce(state: PolarizationState, corr: np.ndarray) -> float:
         - correlator_e(state, rlp, rrp)
     )
     return float(value)
+
+
+def _left_axis(v: np.ndarray) -> np.ndarray:
+    """``v`` normalized; sigma_z's axis where ``v`` is too short to give a direction."""
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-14 else np.array([0.0, 0.0, 1.0])

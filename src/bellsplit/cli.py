@@ -9,6 +9,7 @@ never silent).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -214,7 +215,7 @@ def cmd_analyze(args) -> int:
 
     payload = {
         "version": __version__,
-        "tolerances": tolerances.as_dict(),
+        "tolerances": dataclasses.asdict(tolerances),
         "statistics": statistics,
         "scattering_source": scattering_source,
         "alpha": {

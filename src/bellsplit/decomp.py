@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scattering import GammaPair
-from .smallmat import dagger, max_abs, svd2, tilde2
+from .smallmat import DEFAULT_TOLERANCES, dagger, max_abs, svd2, tilde2
 
 __all__ = [
     "DegenerateXi",
@@ -23,6 +23,9 @@ __all__ = [
     "semi_polar",
     "r_prime",
 ]
+
+#: Below this modulus an off-diagonal entry of the rotated gamma1 carries no phase.
+_PHASE_FLOOR = 1e-14
 
 
 class DegenerateXi(ValueError):
@@ -60,7 +63,7 @@ class SemiPolar:
         return self.u @ self.q @ sq @ self.v, self.u @ sq @ self.v
 
 
-def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
+def semi_polar(g: GammaPair) -> SemiPolar:
     """Jointly factor (gamma1, gamma2) with shared side unitaries.
 
     Steps: svd2 of gamma2 fixes u, v and xi (cross-checked against the trace
@@ -69,14 +72,15 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
     is pulled out as a diagonal phase pair and absorbed into u and v. The sign
     freedom left in the off-diagonal couple is fixed by c2 >= 0.
     """
+    tol, oracle = DEFAULT_TOLERANCES.identity, DEFAULT_TOLERANCES.oracle
     g1, g2 = g.gamma1, g.gamma2
     u0, s, v0 = svd2(g2)
     xi = s**2
     t2 = g.invariants.t2
     tt2 = abs(np.trace(dagger(g2) @ tilde2(g2)))
-    if abs((xi[0] + xi[1]) - t2) > 1e-10 * max(1.0, t2):
+    if abs((xi[0] + xi[1]) - t2) > tol * max(1.0, t2):
         raise ValueError("singular values inconsistent with the norm of gamma2")
-    if abs(2.0 * np.sqrt(xi[0] * xi[1]) - tt2) > 1e-10 * max(1.0, t2):
+    if abs(2.0 * np.sqrt(xi[0] * xi[1]) - tt2) > tol * max(1.0, t2):
         raise ValueError("singular values inconsistent with the spin-flip trace of gamma2")
     if xi[0] - xi[1] < tol:
         raise DegenerateXi(f"xi values {xi[0]:.3e}, {xi[1]:.3e} coincide within {tol:.1e}")
@@ -84,23 +88,23 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
         raise DegenerateXi(f"smaller xi value {xi[1]:.3e} vanishes within {tol:.1e}")
 
     inner = g.invariants.c
-    if abs(inner.imag) > 1e-8:
+    if abs(inner.imag) > oracle:
         raise ValueError(f"Tr gamma1† gamma2 = {inner} is not real; invalid amplitude pair")
     c1 = inner.real / (xi[0] - xi[1])
 
     a = dagger(u0) @ g1 @ dagger(v0)
-    if abs(a[0, 0] - c1 * np.sqrt(xi[0])) > 1e-8 or abs(a[1, 1] + c1 * np.sqrt(xi[1])) > 1e-8:
+    if abs(a[0, 0] - c1 * np.sqrt(xi[0])) > oracle or abs(a[1, 1] + c1 * np.sqrt(xi[1])) > oracle:
         raise ValueError("rotated gamma1 diagonal violates the joint-factorization structure")
 
-    if abs(a[0, 1]) > 1e-14:
+    if abs(a[0, 1]) > _PHASE_FLOOR:
         phi = float(np.angle(a[0, 1]))
-    elif abs(a[1, 0]) > 1e-14:
+    elif abs(a[1, 0]) > _PHASE_FLOOR:
         phi = -float(np.angle(a[1, 0]))
     else:
         phi = 0.0
     a12 = a[0, 1] * np.exp(-1j * phi)
     a21 = a[1, 0] * np.exp(1j * phi)
-    if abs(a12.imag) > 1e-8 or abs(a21.imag) > 1e-8:
+    if abs(a12.imag) > oracle or abs(a21.imag) > oracle:
         raise ValueError("off-diagonal couple fails to reduce to a single phase")
     a12, a21 = a12.real, a21.real
     if a12 < 0.0:  # c2 >= 0 convention; shifting the phase by pi flips both couplings
@@ -113,7 +117,7 @@ def semi_polar(g: GammaPair, tol: float = 1e-10) -> SemiPolar:
 
     sp = SemiPolar(u=u, v=v, xi=xi.astype(float), q=q)
     r1, r2 = sp.reconstruct()
-    if max_abs(g1 - r1) > 1e-10 or max_abs(g2 - r2) > 1e-10:
+    if max_abs(g1 - r1) > tol or max_abs(g2 - r2) > tol:
         raise ValueError("joint factorization failed to reconstruct the amplitude pair")
     return sp
 

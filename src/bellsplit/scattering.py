@@ -59,9 +59,9 @@ __all__ = [
 class NotUnitary(ValueError):
     """Scattering matrix fails the unitarity test; carries the measured defect."""
 
-    def __init__(self, defect: float, tol: float):
+    def __init__(self, defect: float):
         self.defect = defect
-        self.tol = tol
+        tol = DEFAULT_TOLERANCES.identity
         super().__init__(f"scattering matrix is not unitary: defect {defect:.3e} > tol {tol:.3e}")
 
 
@@ -157,12 +157,12 @@ class GammaPair:
         object.__setattr__(self, "invariants", inv)
 
 
-def make_scattering(s, tol: float = DEFAULT_TOLERANCES.identity) -> ScatteringMatrix:
-    """Validate a 4x4 matrix as unitary and wrap it with its block structure."""
+def make_scattering(s) -> ScatteringMatrix:
+    """Validate a 4x4 matrix as unitary (to the identity rung) and wrap it with its block structure."""
     m = as_cmat(s, 4)
     defect = max_abs(dagger(m) @ m - np.eye(4))
-    if defect > tol:
-        raise NotUnitary(defect, tol)
+    if defect > DEFAULT_TOLERANCES.identity:
+        raise NotUnitary(defect)
     return ScatteringMatrix(m)
 
 
@@ -298,13 +298,14 @@ class PolarFactors(NamedTuple):
     transmission: np.ndarray  # (T_H, T_V), descending, strictly inside (0, 1)
 
 
-def polar_decompose_s(sm: ScatteringMatrix, tol: float = DEFAULT_TOLERANCES.identity) -> PolarFactors:
+def polar_decompose_s(sm: ScatteringMatrix) -> PolarFactors:
     """Factor S into side unitaries around the canonical transmission mixer.
 
     The transmission eigenvalues are those of t† t. Raises
-    DegenerateTransmission when they coincide within ``tol`` or touch the
-    boundary of (0, 1), where the factorization is not unique.
+    DegenerateTransmission when they coincide within the identity rung or
+    touch the boundary of (0, 1), where the factorization is not unique.
     """
+    tol = DEFAULT_TOLERANCES.identity
     t = sm.t
     eig = herm_eigen(dagger(t) @ t)
     tr = np.clip(eig.eigenvalues, 0.0, 1.0)
@@ -346,9 +347,7 @@ def assemble_polar(k_out, l_out, k_in, l_in, transmission) -> ScatteringMatrix:
     return make_scattering(left @ mid @ right)
 
 
-def canonicalize_input(
-    sm: ScatteringMatrix, sigma_general, tol: float = DEFAULT_TOLERANCES.identity
-) -> ScatteringMatrix:
+def canonicalize_input(sm: ScatteringMatrix, sigma_general) -> ScatteringMatrix:
     """Absorb an arbitrary rank-1 input polarization into the scattering matrix.
 
     Factors sigma_general = k2 . sigma_in . l2^T through svd2 (phases land in
@@ -361,7 +360,7 @@ def canonicalize_input(
     scale = max_abs(sg)
     if scale == 0.0:
         raise NotRankOne("input polarization matrix is zero")
-    if abs(det2(sg)) > tol * scale**2:
+    if abs(det2(sg)) > DEFAULT_TOLERANCES.identity * scale**2:
         raise NotRankOne(
             f"input polarization must be rank 1: |det| {abs(det2(sg)):.3e} exceeds tolerance"
         )
@@ -384,7 +383,7 @@ def _perp(vec: np.ndarray) -> np.ndarray:
     return p / (pivot / abs(pivot))
 
 
-def realize_hybrid(gram, tol: float = DEFAULT_TOLERANCES.identity) -> ScatteringMatrix:
+def realize_hybrid(gram) -> ScatteringMatrix:
     """Construct a scattering matrix whose hybrid Gram matrix equals ``gram``.
 
     Takes the Hermitian square root of the target Gram matrix as the hybrid
@@ -394,7 +393,7 @@ def realize_hybrid(gram, tol: float = DEFAULT_TOLERANCES.identity) -> Scattering
     unique; every derived entanglement quantity depends only on the Gram
     matrix.
     """
-    g = as_cmat(gram, 2)
+    g, tol = as_cmat(gram, 2), DEFAULT_TOLERANCES.identity
     if max_abs(g - dagger(g)) > tol:
         raise ValueError("target Gram matrix must be Hermitian")
     eig = herm_eigen(g)

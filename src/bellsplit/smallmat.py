@@ -7,7 +7,7 @@ explicit integer seed (PCG64), never a global, so every sample is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,10 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default tolerance ladder; every check accepts an explicit override."""
+    """The tolerance ladder: what the package builds, exact identities, closed forms against oracles.
+
+    Checks read ``DEFAULT_TOLERANCES``; only ``bell.emax`` takes a ladder, so a profile reaches its gates.
+    """
 
     construction: float = 1e-12
     identity: float = 1e-10
@@ -63,11 +66,8 @@ class Tolerances:
         if profile == "default":
             return cls()
         if profile == "strict":
-            return cls(construction=1e-12, identity=1e-11, oracle=1e-9)
+            return cls(identity=1e-11, oracle=1e-9)
         raise ValueError(f"unknown tolerance profile {profile!r}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -161,17 +161,17 @@ class HermEigen(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, matching order
 
 
-def herm_eigen(a, tol: float | None = None) -> HermEigen:
+def herm_eigen(a) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
-    Raises NotHermitian if the max-norm defect of (a - a†) exceeds
-    ``tol`` (default 1e-10 relative to the matrix scale).
+    Raises NotHermitian if the max-norm defect of (a - a†) exceeds the
+    identity rung relative to the matrix scale.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(max_abs(m), 1e-300)
-    limit = (1e-10 if tol is None else tol) * scale
+    limit = DEFAULT_TOLERANCES.identity * scale
     defect = max_abs(m - dagger(m))
     if defect > limit:
         raise NotHermitian(f"matrix is not Hermitian: defect {defect:.3e} > {limit:.3e}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scattering import GammaPair, GramInvariants, HybridMatrix
-from .smallmat import SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd
+from .smallmat import DEFAULT_TOLERANCES, SIGMA_Y, as_cmat, dagger, herm_eigen, max_abs, sqrt_psd
 
 __all__ = [
     "ZeroCoincidence",
@@ -84,17 +84,18 @@ class PolarizationState:
     eigenvalues: np.ndarray | None = None
 
     @classmethod
-    def from_matrix(cls, rho, tol: float = 1e-10) -> "PolarizationState":
+    def from_matrix(cls, rho) -> "PolarizationState":
         """Wrap an externally supplied density matrix (no rank restriction)."""
         m = as_cmat(rho, 4)
-        return cls(m, eigenvalues=_validate_density(m, tol, check_rank=False))
+        return cls(m, eigenvalues=_validate_density(m, check_rank=False))
 
 
-def _validate_density(rho: np.ndarray, tol: float, check_rank: bool) -> np.ndarray:
+def _validate_density(rho: np.ndarray, check_rank: bool) -> np.ndarray:
     """The descending eigenvalues of a valid density matrix; ValueError names the first rule it breaks."""
-    if max_abs(rho - dagger(rho)) > 1e-12:
+    built, tol = DEFAULT_TOLERANCES.construction, DEFAULT_TOLERANCES.identity
+    if max_abs(rho - dagger(rho)) > built:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
+    if abs(np.trace(rho).real - 1.0) > built:
         raise ValueError(f"density matrix trace {np.trace(rho).real!r} is not 1")
     evals = herm_eigen(rho).eigenvalues
     if evals[-1] < -tol:
@@ -112,7 +113,7 @@ def build_rho(g: GammaPair, alpha_sq: float) -> PolarizationState:
     rho = (
         (1.0 + alpha_sq) * np.outer(v1, v1.conj()) + (1.0 - alpha_sq) * np.outer(v2, v2.conj())
     ) / norm
-    evals = _validate_density(rho, 1e-10, check_rank=True)
+    evals = _validate_density(rho, check_rank=True)
     return PolarizationState(rho, alpha_sq=alpha_sq, gammas=g, eigenvalues=evals)
 
 

@@ -41,6 +41,7 @@ __all__ = [
 
 _NORM_TOL = 1e-8
 _DENOM_FLOOR = 1e-14
+_SQ_SLACK = 1e-10  # rounding allowed past |alpha|^2 = 1
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -100,12 +101,13 @@ class GaussianPacket:
         # +-8 sigma: the neglected tail of the intensity is below 1e-14.
         return (self.center - 8.0 * self.width, self.center + 8.0 * self.width)
 
-    def amplitude(self, omega) -> np.ndarray:
+    def envelope(self, omega) -> np.ndarray:
+        """The real spectral amplitude without the delay's phase."""
         w = np.asarray(omega, dtype=float)
-        envelope = (2.0 * np.pi * self.width**2) ** (-0.25) * np.exp(
-            -((w - self.center) ** 2) / (4.0 * self.width**2)
-        )
-        return envelope * np.exp(-1j * w * self.delay)
+        return (2.0 * np.pi * self.width**2) ** (-0.25) * np.exp(-((w - self.center) ** 2) / (4.0 * self.width**2))
+
+    def amplitude(self, omega) -> np.ndarray:
+        return self.envelope(omega) * np.exp(-1j * np.asarray(omega, dtype=float) * self.delay)
 
     def time_amplitude(self, t) -> np.ndarray:
         u = np.asarray(t, dtype=float) - self.delay
@@ -194,14 +196,14 @@ class OverlapAlpha:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         sq = abs(self.alpha) ** 2
-        if not sq <= 1.0 + 1e-10:
+        if not sq <= 1.0 + _SQ_SLACK:
             raise ValueError(f"|alpha|^2 = {sq} exceeds 1")
         object.__setattr__(self, "alpha_sq", float(min(max(sq, 0.0), 1.0)))
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> "OverlapAlpha":
         """Overlap of known magnitude and irrelevant (unknown) phase."""
-        if not 0.0 <= alpha_sq <= 1.0 + 1e-10:
+        if not 0.0 <= alpha_sq <= 1.0 + _SQ_SLACK:
             raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq}")
         out = cls(complex(np.sqrt(min(alpha_sq, 1.0))))
         # Keep the caller's value exactly; the sqrt round trip can wobble the
@@ -295,7 +297,12 @@ def alpha_infinite_window(psi: Wavepacket, phi: Wavepacket) -> OverlapAlpha:
     hi = min(psi.support()[1], phi.support()[1])
     if hi <= lo:
         return OverlapAlpha(0.0)
-    num = _spectral_integral(lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w)), lo, hi, (psi, phi))
+    # A Gaussian pair takes one phase, from the relative delay: each packet's own loses |w D| eps to a common D.
+    if isinstance(psi, GaussianPacket) and isinstance(phi, GaussianPacket):
+        overlap = lambda w: phi.envelope(w) * psi.envelope(w) * np.exp(-1j * w * (phi.delay - psi.delay))
+    else:
+        overlap = lambda w: phi.amplitude(w) * np.conj(psi.amplitude(w))
+    num = _spectral_integral(overlap, lo, hi, (psi, phi))
     norms = [_spectral_integral(lambda w, p=p: np.abs(p.amplitude(w)) ** 2, *p.support(), (p,)) for p in (psi, phi)]
     return OverlapAlpha(complex(num) / np.sqrt(norms[0].real * norms[1].real))
 

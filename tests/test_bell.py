@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bellsplit import bell
+from bellsplit import bell, cli
+from bellsplit import state as state_mod
 from bellsplit.bell import (
     AnalyzerSetting,
     TSIRELSON,
@@ -13,9 +14,9 @@ from bellsplit.bell import (
     u_eigen_closed,
 )
 from bellsplit.scattering import STATISTICS, gammas, hybrid, make_scattering, preset
-from bellsplit.smallmat import PAULIS, SIGMA_Z, ConsistencyError, dagger, haar_unitary, max_abs
+from bellsplit.smallmat import DEFAULT_TOLERANCES, PAULIS, SIGMA_Z, ConsistencyError, dagger, haar_unitary, max_abs
 from bellsplit.state import PolarizationState, ZeroCoincidence, build_rho, mixture_norm
-from bellsplit.verify import ALPHA_LADDER
+from bellsplit.verify import ALPHA_LADDER, SUITE_TOLERANCES
 
 BELL_PHI_PLUS = np.zeros((4, 4), complex)
 BELL_PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -295,8 +296,8 @@ class TestEmax:
     def test_balanced_pure_tsirelson(self):
         x = hybrid(preset("balanced_pc"))
         rep = emax(x, 1.0)
-        assert rep.emax_closed == pytest.approx(TSIRELSON, abs=1e-10)
-        assert rep.violating
+        assert rep.evaluation.emax_closed == pytest.approx(TSIRELSON, abs=1e-10)
+        assert rep.evaluation.emax_closed > 2.0
 
     def test_gisin_relation_pure_states(self):
         from bellsplit.state import concurrence_closed
@@ -305,8 +306,8 @@ class TestEmax:
             x, g, _ = pipeline(470_000 + i, 1.0)
             rep = emax(x, 1.0, gamma_pair=g)
             c = concurrence_closed(x, 1.0)
-            assert rep.emax_closed == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
-            assert rep.emax_horodecki == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
+            assert rep.evaluation.emax_closed == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
+            assert rep.evaluation.emax_horodecki == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
 
     def test_no_mixing_violation_iff_entangled(self):
         from bellsplit.state import concurrence_closed
@@ -316,8 +317,8 @@ class TestEmax:
             rep = emax(x, a)
             c = concurrence_closed(x, a)
             assert c > 0.0
-            assert rep.emax_closed == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
-            assert rep.violating
+            assert rep.evaluation.emax_closed == pytest.approx(2.0 * np.sqrt(1.0 + c * c), abs=1e-8)
+            assert rep.evaluation.emax_closed > 2.0
 
     def test_mixed_state_band(self):
         from bellsplit.state import concurrence_closed
@@ -327,16 +328,16 @@ class TestEmax:
             x, g, _ = pipeline(480_000 + i, a)
             rep = emax(x, a, gamma_pair=g)
             c = concurrence_closed(x, a)
-            assert 2.0 * c * np.sqrt(2.0) - 1e-8 <= rep.emax_closed <= 2.0 * np.sqrt(1.0 + c * c) + 1e-8
+            assert 2.0 * c * np.sqrt(2.0) - 1e-8 <= rep.evaluation.emax_closed <= 2.0 * np.sqrt(1.0 + c * c) + 1e-8
 
     def test_closed_matches_horodecki_and_bruteforce(self):
         for i in range(20):
             a = float(np.linspace(0.15, 0.9, 20)[i])
             x, g, _ = pipeline(490_000 + i, a)
             rep = emax(x, a, gamma_pair=g)
-            assert abs(rep.emax_closed - rep.emax_horodecki) <= 1e-8
-            assert rep.emax_bruteforce <= rep.emax_horodecki + 1e-6
-            assert rep.emax_bruteforce >= rep.emax_horodecki - 1e-4
+            assert abs(rep.evaluation.emax_closed - rep.evaluation.emax_horodecki) <= 1e-8
+            assert rep.emax_bruteforce <= rep.evaluation.emax_horodecki + 1e-6
+            assert rep.emax_bruteforce >= rep.evaluation.emax_horodecki - 1e-4
 
     def test_representative_construction_matches_supplied_gammas(self):
         # Without amplitudes the numeric route runs on a rebuilt splitter
@@ -344,8 +345,8 @@ class TestEmax:
         x, g, _ = pipeline(495_000, 0.6)
         with_g = emax(x, 0.6, gamma_pair=g)
         without_g = emax(x, 0.6)
-        assert with_g.emax_closed == without_g.emax_closed
-        assert abs(with_g.emax_horodecki - without_g.emax_horodecki) <= 1e-8
+        assert with_g.evaluation.emax_closed == without_g.evaluation.emax_closed
+        assert abs(with_g.evaluation.emax_horodecki - without_g.evaluation.emax_horodecki) <= 1e-8
 
     def test_correlation_tensor_computed_once(self, monkeypatch):
         # The oracle reuses the tensor of the Horodecki route.
@@ -360,6 +361,60 @@ class TestEmax:
         x, g, _ = pipeline(495_500, 0.6)
         emax(x, 0.6, gamma_pair=g)
         assert len(calls) == 1
+
+
+#: The point at which each route check is made to fire, as ``analyze`` arguments.
+FIRE_ARGV = ["analyze", "--preset", "balanced_mixing(0.6)", "--alpha-sq", "0.37"]
+SHIFT = 1e-3
+
+#: Verify suite -> (module, function whose value is shifted by SHIFT, emax's message from the unshifted evaluation).
+ROUTE_FAULTS = {
+    "concurrence_wootters": (state_mod, "concurrence_wootters", lambda ev: (
+        f"concurrence routes disagree: closed {ev.concurrence.c_closed} vs generic {ev.concurrence.c_wootters + SHIFT}"
+    )),
+    "concurrence_gamma": (state_mod, "concurrence_gamma", lambda ev: (
+        f"concurrence routes disagree: closed {ev.concurrence.c_closed} vs amplitude form {ev.concurrence.c_gamma + SHIFT}"
+    )),
+    "horodecki_vs_closed": (bell, "emax_and_branch", lambda ev: (
+        f"closed-form and Horodecki maxima disagree: {ev.emax_closed + SHIFT} vs {ev.emax_horodecki}"
+    )),
+}
+
+
+class TestRouteChecksFire:
+    """Each point-level route comparison raises its own message in ``emax`` and exits 4 from the CLI."""
+
+    @staticmethod
+    def plant(monkeypatch, suite):
+        module, name, message = ROUTE_FAULTS[suite]
+        original = getattr(module, name)
+
+        def shifted(*args):
+            out = original(*args)
+            return (out[0] + SHIFT, *out[1:]) if isinstance(out, tuple) else out + SHIFT
+
+        sm = preset("balanced_mixing", 0.6)
+        expected = message(bell.evaluate(hybrid(sm), 0.37, gammas(sm)))
+        monkeypatch.setattr(module, name, shifted)
+        return sm, expected
+
+    @pytest.mark.parametrize("suite", ROUTE_FAULTS)
+    def test_emax_raises_the_message(self, monkeypatch, suite):
+        sm, expected = self.plant(monkeypatch, suite)
+        with pytest.raises(ConsistencyError) as info:
+            emax(hybrid(sm), 0.37, gamma_pair=gammas(sm))
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("suite", ROUTE_FAULTS)
+    def test_cli_exits_4_with_the_message(self, monkeypatch, capsys, suite):
+        _, expected = self.plant(monkeypatch, suite)
+        assert cli.main(FIRE_ARGV) == 4  # EXIT_INCONSISTENT
+        assert capsys.readouterr() == ("", f"error: internal consistency failure: {expected}\n")
+
+    def test_every_row_fires_and_reads_its_rung_in_verify(self):
+        assert [check.suite for check in bell.ROUTE_CHECKS] == list(ROUTE_FAULTS)
+        for check in bell.ROUTE_CHECKS:
+            assert SUITE_TOLERANCES[check.suite] == getattr(DEFAULT_TOLERANCES, check.rung), check.suite
 
 
 class TestBruteforce:

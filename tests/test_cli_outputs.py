@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 from bellsplit import cli
@@ -26,10 +27,23 @@ def test_one_entry_per_command(tmp_path, monkeypatch):
         next(argv for argv in runs if argv[0] == "scan"),
         next(argv for argv in runs if argv[0] == "verify"),
     ]
-    records = [json.loads(json.dumps(tool.record(cli.main, argv))) for argv in picks]
-    assert [(r["argv"], r["exit"]) for r in records] == [(argv, 0) for argv in picks]
+    records = [json.loads(json.dumps(tool.record(cli.main, argv, "default"))) for argv in picks]
+    assert [(r["profile"], r["argv"], r["exit"]) for r in records] == [("default", argv, 0) for argv in picks]
     analyze, scan, verify = records
     assert json.loads(analyze["stdout"])["scattering_source"] == "file:haar0.json"
     assert analyze["stderr"] == ""
     assert scan["stdout"].count("\n") == 1 + 60 * 60
     assert "overall: PASS" in verify["stdout"]
+
+
+def test_strict_record_names_its_profile(tmp_path, monkeypatch):
+    tool = _tool()
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BELLSPLIT_TOLERANCE_PROFILE", raising=False)
+    assert tool.PROFILES == ("default", "strict")
+    argv = next(argv for argv in tool.comparison_set() if argv[0] == "analyze" and argv[2] == "haar0_cfg.json")
+    strict = json.loads(json.dumps(tool.record(cli.main, argv, "strict")))
+    assert (strict["profile"], strict["argv"], strict["exit"], strict["stderr"]) == ("strict", argv, 0, "")
+    assert json.loads(strict["stdout"])["tolerances"] == {"construction": 1e-12, "identity": 1e-11, "oracle": 1e-9}
+    assert "BELLSPLIT_TOLERANCE_PROFILE" not in os.environ  # the record restores the environment

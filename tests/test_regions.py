@@ -194,7 +194,7 @@ class TestBalancedEmax:
             sm = realize_hybrid(balanced_gram(p.hv_sq))
             rep = balanced_emax(p)
             full = emax(hybrid(sm), p.alpha_sq, gamma_pair=gammas(sm))
-            assert rep.emax == pytest.approx(full.emax_horodecki, abs=1e-8)
+            assert rep.emax == pytest.approx(full.evaluation.emax_horodecki, abs=1e-8)
             assert rep.emax == pytest.approx(full.emax_bruteforce, abs=1e-4)
 
     def test_fermionic_map_differs(self):
@@ -213,7 +213,7 @@ class TestBalancedEmax:
                 concurrence_wootters(build_rho(g, a)), abs=1e-8
             )
             full = emax(hybrid(sm), a, gamma_pair=g)
-            assert rep.emax == pytest.approx(full.emax_horodecki, abs=1e-8)
+            assert rep.emax == pytest.approx(full.evaluation.emax_horodecki, abs=1e-8)
 
 
 class NoMixingResult(NamedTuple):
@@ -264,7 +264,7 @@ class TestNoMixing:
         res = no_mixing_case(x, 0.6)
         assert res.c == pytest.approx(concurrence_closed(x, 0.6), abs=1e-10)
         rep = emax(x, 0.6)
-        assert res.emax == pytest.approx(rep.emax_horodecki, abs=1e-8)
+        assert res.emax == pytest.approx(rep.evaluation.emax_horodecki, abs=1e-8)
 
     def test_rejects_mixing(self):
         x = HybridMatrix(_sqrt_balanced(0.1))

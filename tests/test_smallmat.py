@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -225,5 +226,7 @@ def test_tolerance_profiles():
     assert Tolerances.from_profile("default") == Tolerances()
     strict = Tolerances.from_profile("strict")
     assert strict.oracle < Tolerances().oracle
+    for f in dataclasses.fields(Tolerances):  # strict only tightens
+        assert getattr(strict, f.name) <= getattr(Tolerances(), f.name), f.name
     with pytest.raises(ValueError):
         Tolerances.from_profile("sloppy")

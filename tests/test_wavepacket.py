@@ -233,6 +233,12 @@ class TestAlphaInfinite:
         psi, phi = GaussianPacket(0.0, 1.0, 1e4), GaussianPacket(0.0, 1.0, 1e4 + 0.5)
         assert alpha_infinite_window(psi, phi).alpha_sq == pytest.approx(np.exp(-0.25), abs=1e-11)
 
+    @pytest.mark.parametrize("common", [0.0] + [10.0**k for k in range(2, 16, 2)])
+    def test_common_delay_keeps_the_phase(self, common):
+        # Each packet's own phase exp(-i w D) lost |w D| eps: 2.1e-14 at D = 1e4, 3.5e-4 at 1e14.
+        psi, phi = GaussianPacket(0.0, 1.0, common), GaussianPacket(0.0, 1.0, common + 0.5)
+        assert abs(alpha_infinite_window(psi, phi).alpha_sq - np.exp(-0.25)) <= 1e-14
+
     @given(st.floats(min_value=-np.pi, max_value=np.pi))
     @settings(max_examples=20, deadline=None)
     def test_global_phase_invariance(self, phase):

@@ -5,9 +5,11 @@ Usage:
     python tools/cli_outputs.py SRC OUT
 
 imports ``bellsplit`` from the source directory SRC, runs every entry of the
-set in-process through ``cli.main`` and writes one JSON line per run to OUT:
-``{"argv", "exit", "stdout", "stderr"}``. Run it once per tree and ``diff``
-the two files; any difference is a change in what the CLI prints or returns.
+set in-process through ``cli.main``, once under each ``BELLSPLIT_TOLERANCE_PROFILE``
+(``default``, then ``strict``), and writes one JSON line per run to OUT:
+``{"profile", "argv", "exit", "stdout", "stderr"}``. Run it once per tree and
+``diff`` the two files; any difference is a change in what the CLI prints or
+returns.
 
 The set: ``analyze`` on 8 presets x 6 alphas, on 12 Haar-random splitter
 files x 4 alphas and on wavepacket configs (Gaussian x CSV in both windows,
@@ -50,6 +52,7 @@ STATISTICS = ("bosonic", "fermionic")
 VERIFY_SEEDS = (0, 7, 31, 100)
 PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
 CORNER_DISTANCES = tuple(float(d) for d in np.logspace(-8.0, -3.0, 26))
+PROFILES = ("default", "strict")
 
 
 def _haar(seed: int) -> np.ndarray:
@@ -125,17 +128,30 @@ def comparison_set() -> list[list[str]]:
     return runs
 
 
-def record(main, argv: list[str]) -> dict:
-    """Run ``main(argv)`` in-process; its exit code and the text it wrote to stdout and stderr."""
+@contextlib.contextmanager
+def _profile(name: str):
+    previous = os.environ.get("BELLSPLIT_TOLERANCE_PROFILE")
+    os.environ["BELLSPLIT_TOLERANCE_PROFILE"] = name
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["BELLSPLIT_TOLERANCE_PROFILE"]
+        else:
+            os.environ["BELLSPLIT_TOLERANCE_PROFILE"] = previous
+
+
+def record(main, argv: list[str], profile: str) -> dict:
+    """Run ``main(argv)`` in-process under ``profile``; its exit code and the text it wrote to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(), _profile(profile):
         warnings.simplefilter("default")  # as a fresh process shows them: once per place, every run
         try:
             code = main(argv)
         except Exception as exc:
             err.write("".join(traceback.format_exception_only(exc)))
             code = 1
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return {"profile": profile, "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def run(src: str, out: str) -> int:
@@ -149,8 +165,9 @@ def run(src: str, out: str) -> int:
         write_inputs(Path(tmp))
         os.chdir(tmp)
         try:
-            for argv in comparison_set():
-                fh.write(json.dumps(record(cli.main, argv)) + "\n")
+            for profile in PROFILES:
+                for argv in comparison_set():
+                    fh.write(json.dumps(record(cli.main, argv, profile)) + "\n")
         finally:
             os.chdir(here)
     return 0
