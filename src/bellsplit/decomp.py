@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scattering import GammaPair
-from .smallmat import DEFAULT_TOLERANCES, dagger, max_abs, svd2, tilde2
+from .smallmat import DEFAULT_TOLERANCES, ConsistencyError, dagger, max_abs, svd2, tilde2
 
 __all__ = [
     "DegenerateXi",
@@ -27,9 +27,13 @@ __all__ = [
 #: Below this modulus an off-diagonal entry of the rotated gamma1 carries no phase.
 _PHASE_FLOOR = 1e-14
 
+#: Smallest xi gap (4.4e-6) the identity-rung reconstruction gate can certify: the SVD of gamma2
+#: fixes u and v only to about eps / gap, and the rebuilt pair errs by 1.1-1.6 eps / gap near xi1 = xi2.
+_XI_GAP_FLOOR = 2.0 * np.finfo(float).eps / DEFAULT_TOLERANCES.identity
+
 
 class DegenerateXi(ValueError):
-    """Squared singular values coincide (or the smaller one vanishes).
+    """Squared singular values coincide, lie too close to certify, or the smaller one vanishes.
 
     The coefficient matrix of the joint factorization is singular there and
     no convention is fabricated for it; scan drivers perturb inputs off the
@@ -70,7 +74,8 @@ def semi_polar(g: GammaPair) -> SemiPolar:
     formulas); the rotated gamma1 has real diagonal c1 * (sqrt(xi1), -sqrt(xi2))
     with c1 = Tr gamma1† gamma2 / (xi1 - xi2); the residual off-diagonal phase
     is pulled out as a diagonal phase pair and absorbed into u and v. The sign
-    freedom left in the off-diagonal couple is fixed by c2 >= 0.
+    freedom left in the off-diagonal couple is fixed by c2 >= 0. A failed
+    cross-check raises ConsistencyError.
     """
     tol, oracle = DEFAULT_TOLERANCES.identity, DEFAULT_TOLERANCES.oracle
     g1, g2 = g.gamma1, g.gamma2
@@ -79,22 +84,24 @@ def semi_polar(g: GammaPair) -> SemiPolar:
     t2 = g.invariants.t2
     tt2 = abs(np.trace(dagger(g2) @ tilde2(g2)))
     if abs((xi[0] + xi[1]) - t2) > tol * max(1.0, t2):
-        raise ValueError("singular values inconsistent with the norm of gamma2")
+        raise ConsistencyError("singular values inconsistent with the norm of gamma2")
     if abs(2.0 * np.sqrt(xi[0] * xi[1]) - tt2) > tol * max(1.0, t2):
-        raise ValueError("singular values inconsistent with the spin-flip trace of gamma2")
+        raise ConsistencyError("singular values inconsistent with the spin-flip trace of gamma2")
     if xi[0] - xi[1] < tol:
         raise DegenerateXi(f"xi values {xi[0]:.3e}, {xi[1]:.3e} coincide within {tol:.1e}")
     if xi[1] < tol:
         raise DegenerateXi(f"smaller xi value {xi[1]:.3e} vanishes within {tol:.1e}")
+    if xi[0] - xi[1] < _XI_GAP_FLOOR:
+        raise DegenerateXi(f"xi gap {xi[0] - xi[1]:.3e} is below {_XI_GAP_FLOOR:.1e}, the reconstruction gate's floor")
 
     inner = g.invariants.c
     if abs(inner.imag) > oracle:
-        raise ValueError(f"Tr gamma1† gamma2 = {inner} is not real; invalid amplitude pair")
+        raise ConsistencyError(f"Tr gamma1† gamma2 = {inner} is not real; invalid amplitude pair")
     c1 = inner.real / (xi[0] - xi[1])
 
     a = dagger(u0) @ g1 @ dagger(v0)
     if abs(a[0, 0] - c1 * np.sqrt(xi[0])) > oracle or abs(a[1, 1] + c1 * np.sqrt(xi[1])) > oracle:
-        raise ValueError("rotated gamma1 diagonal violates the joint-factorization structure")
+        raise ConsistencyError("rotated gamma1 diagonal violates the joint-factorization structure")
 
     if abs(a[0, 1]) > _PHASE_FLOOR:
         phi = float(np.angle(a[0, 1]))
@@ -105,7 +112,7 @@ def semi_polar(g: GammaPair) -> SemiPolar:
     a12 = a[0, 1] * np.exp(-1j * phi)
     a21 = a[1, 0] * np.exp(1j * phi)
     if abs(a12.imag) > oracle or abs(a21.imag) > oracle:
-        raise ValueError("off-diagonal couple fails to reduce to a single phase")
+        raise ConsistencyError("off-diagonal couple fails to reduce to a single phase")
     a12, a21 = a12.real, a21.real
     if a12 < 0.0:  # c2 >= 0 convention; shifting the phase by pi flips both couplings
         a12, a21, phi = -a12, -a21, phi + np.pi
@@ -118,7 +125,7 @@ def semi_polar(g: GammaPair) -> SemiPolar:
     sp = SemiPolar(u=u, v=v, xi=xi.astype(float), q=q)
     r1, r2 = sp.reconstruct()
     if max_abs(g1 - r1) > tol or max_abs(g2 - r2) > tol:
-        raise ValueError("joint factorization failed to reconstruct the amplitude pair")
+        raise ConsistencyError("joint factorization failed to reconstruct the amplitude pair")
     return sp
 
 

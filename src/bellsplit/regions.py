@@ -11,7 +11,6 @@ violate the inequality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,7 +51,10 @@ class BalancedPoint:
 
 
 class ScanRow(NamedTuple):
-    """One cell of the balanced slice; ``scan_grid`` adds its boundary and empty-ensemble tags."""
+    """The balanced slice at one cell as floats (``balanced_emax``), or over a grid as columns (``scan_grid``).
+
+    A grid's alpha_sq has shape (n_alpha, 1), hv_sq (n_hv,) and the rest, tags included, (n_alpha, n_hv).
+    """
 
     alpha_sq: float
     hv_sq: float
@@ -132,8 +134,8 @@ def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> ScanRow:
     return ScanRow(a, h, c, e, branch, _region(c, e))
 
 
-def scan_grid(n_alpha: int, n_hv: int, statistics: str = "bosonic") -> list[ScanRow]:
-    """Classify an n_alpha x n_hv grid of the balanced slice, row order lexicographic.
+def scan_grid(n_alpha: int, n_hv: int, statistics: str = "bosonic") -> ScanRow:
+    """Classify an n_alpha x n_hv grid of the balanced slice, as columns.
 
     Cells within BOUNDARY_BAND of the f or g curve are tagged 'boundary_f' /
     'boundary_g' instead of force-classified (bosonic case, where the curves
@@ -164,20 +166,14 @@ def scan_grid(n_alpha: int, n_hv: int, statistics: str = "bosonic") -> list[Scan
         region = np.where(np.abs(hvs - g) < BOUNDARY_BAND, "boundary_g", region)
     branch = np.where(live, branch, "none")
     region = np.where(live, region, "zero_coincidence")
-    # Lazy coordinate columns: each row shares its alpha_sq and hv_sq floats.
-    cells = zip(
-        itertools.chain.from_iterable(itertools.repeat(x, n_hv) for x in alphas.tolist()),
-        itertools.chain.from_iterable(itertools.repeat(hvs.tolist(), n_alpha)),
-        c.ravel().tolist(),
-        e.ravel().tolist(),
-        branch.ravel().tolist(),
-        region.ravel().tolist(),
-    )
-    return list(map(ScanRow._make, cells))
+    return ScanRow(a, hvs, c, e, branch, region)
 
 
-def scan_to_csv(rows: list[ScanRow]) -> str:
-    """Render scan rows as the stable CSV format (header plus one line per cell)."""
+def scan_to_csv(grid: ScanRow) -> str:
+    """Render a scan grid as the stable CSV format: a header, then one line per cell, alpha_sq major."""
     lines = ["alpha_sq,hv_sq,concurrence,emax,branch,region"]
-    lines.extend(f"{a!r},{h!r},{c!r},{e!r},{branch},{region}" for a, h, c, e, branch, region in rows)
+    hvs = [f"{h!r}," for h in grid.hv_sq.tolist()]  # each coordinate's repr is formed once
+    alphas = [f"{a!r}," for a in grid.alpha_sq.ravel().tolist()]
+    for a, cs, es, bs, rs in zip(alphas, *(column.tolist() for column in grid[2:])):
+        lines.extend(f"{a}{h}{c!r},{e!r},{b},{r}" for h, c, e, b, r in zip(hvs, cs, es, bs, rs))
     return "\n".join(lines) + "\n"

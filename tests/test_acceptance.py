@@ -14,6 +14,7 @@ from bellsplit.cli import main as cli_main
 from bellsplit.decomp import DegenerateXi
 from bellsplit.scattering import DegenerateTransmission
 from bellsplit.smallmat import SIGMA_IN, dagger, haar_unitary, max_abs, tilde2
+from conftest import scan_cells
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 ENSEMBLE_SEED = 7_000_000  # criteria 1, 2 and 6 share this ensemble
@@ -132,7 +133,7 @@ def test_criterion_4_pure_state_gisin_relation():
 
 def test_criterion_5_balanced_slice_region_map():
     start = time.monotonic()
-    rows = regions.scan_grid(200, 200)
+    rows = scan_cells(regions.scan_grid(200, 200))
 
     edge_worst = 0.0
     for r in rows:

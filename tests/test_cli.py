@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from bellsplit import bell as bell_mod
+from bellsplit import cli as cli_mod
+from bellsplit import decomp as decomp_mod
 from bellsplit import scattering as scattering_mod
 from bellsplit import smallmat as smallmat_mod
 from bellsplit.cli import main
@@ -281,6 +284,51 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--preset", "balanced_pc", "--alpha-sq", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["scan", "--grid", "3x3"], ["verify", "--count", "1"]])
+    def test_bad_env_profile_in_scan_and_verify(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BELLSPLIT_TOLERANCE_PROFILE", "bogus")
+        assert run(capsys, *argv) == (2, "", "error: unknown tolerance profile 'bogus'\n")
+
+    def test_semi_polar_miss_exits_4(self, capsys, monkeypatch):
+        # Tighten the ladder that semi_polar reads until its first cross-check misses.
+        monkeypatch.setattr(decomp_mod, "DEFAULT_TOLERANCES", smallmat_mod.Tolerances(identity=1e-30))
+        code, out, err = run(capsys, "analyze", "--preset", "balanced_mixing(0.6)", "--alpha-sq", "0.5")
+        assert (code, out) == (4, "")
+        assert err == "error: internal consistency failure: singular values inconsistent with the norm of gamma2\n"
+
+
+def near_degenerate_family():
+    """Splitters balanced_mixing(0.6) exp(i d H), 61 log-spaced d in [1e-10, 1e-4], one random Hermitian H.
+
+    Under fermionic statistics the two xi values of gamma2 sit 7e-11 to 7e-5 apart.
+    """
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    base = scattering_mod.preset("balanced_mixing", 0.6).s
+    return [base @ v @ np.diag(np.exp(1j * d * w)) @ v.conj().T for d in np.logspace(-10.0, -4.0, 61)]
+
+
+class TestNearDegenerateXi:
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_family_exits_0(self, tmp_path, capsys, statistics):
+        semis = []
+        for s in near_degenerate_family():
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps(mat_to_json(s)))
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"scattering": {"file": str(path)}, "alpha": {"alpha_sq": 0.5}}))
+            code, out, err = run(capsys, "analyze", "--config", str(config), "--statistics", statistics)
+            assert (code, err) == (0, ""), err
+            semis.append(json.loads(out)["semi_polar"])
+        for semi in semis:
+            if semi["degenerate"]:
+                assert re.match(r"xi (values \S+, \S+ coincide within|gap \S+ is below) ", semi["reason"]), semi
+            else:
+                assert semi["xi"][0] - semi["xi"][1] >= 4.4e-6, semi
+        # Bosonic statistics keep gamma2 far from degenerate here; fermionic ones cross the floor.
+        assert {semi["degenerate"] for semi in semis} == ({False} if statistics == "bosonic" else {False, True})
+
 
 def gaussian_pair(width, delay, window):
     packet = {"center": 0.0, "width": width}
@@ -511,6 +559,13 @@ class TestScan:
         assert run(capsys, "scan", "--grid", "25x25", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_strict_stderr_prints_the_ladder_scan_applies(self, capsys, monkeypatch):
+        monkeypatch.setenv("BELLSPLIT_TOLERANCE_PROFILE", "strict")
+        code, out, err = run(capsys, "scan", "--grid", "4x4")
+        monkeypatch.delenv("BELLSPLIT_TOLERANCE_PROFILE")
+        assert (code, out) == run(capsys, "scan", "--grid", "4x4")[:2]
+        assert err.endswith(" scan 4x4 statistics=bosonic tolerance_profile=strict oracle_tol=1e-08\n"), err
+
     def test_fermionic_scan_differs(self, tmp_path, capsys):
         a, b = tmp_path / "bos.csv", tmp_path / "fer.csv"
         run(capsys, "scan", "--grid", "12x12", "--out", str(a))
@@ -519,6 +574,16 @@ class TestScan:
 
 
 class TestVerify:
+    def test_strict_header_prints_the_ladder_verify_applies(self, capsys, monkeypatch):
+        monkeypatch.setenv("BELLSPLIT_TOLERANCE_PROFILE", "strict")
+        code, out, _ = run(capsys, "verify", "--count", "1")
+        assert code == 0
+        header, _, *rows = out.splitlines()
+        printed = dict(field.split("=") for field in header.split("tolerances ")[1].split())
+        column = {row.split()[0]: float(row.split()[3]) for row in rows[:-1]}
+        rungs = {"construction": "mandel_identity", "identity": "trace_identities", "oracle": "concurrence_wootters"}
+        assert {rung: float(printed[rung]) for rung in rungs} == {rung: column[suite] for rung, suite in rungs.items()}
+
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--count", "3", "--seed", "123")
         assert code == 0
@@ -657,3 +722,23 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once(self, capsys):
+        argvs = [
+            ["analyze", "--preset", "balanced_pc", "--alpha-sq", "0.3"],
+            ["scan", "--grid", "3x4", "--statistics", "fermionic"],
+            ["verify", "--count", "1", "--seed", "3"],
+            ["scan", "--grid", "3x3", "--statistics", "anyonic"],
+            ["analyze", "--alpha-sq", "half"],
+            ["frobnicate"],
+            ["scan", "--help"],
+            [],
+        ]
+        fresh = []
+        for argv in argvs:
+            cli_mod.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli_mod.build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in argvs]
+        assert cli_mod.build_parser.cache_info().misses == 1
+        assert reused == fresh

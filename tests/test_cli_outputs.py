@@ -47,3 +47,14 @@ def test_strict_record_names_its_profile(tmp_path, monkeypatch):
     assert (strict["profile"], strict["argv"], strict["exit"], strict["stderr"]) == ("strict", argv, 0, "")
     assert json.loads(strict["stdout"])["tolerances"] == {"construction": 1e-12, "identity": 1e-11, "oracle": 1e-9}
     assert "BELLSPLIT_TOLERANCE_PROFILE" not in os.environ  # the record restores the environment
+
+
+def test_near_degenerate_family_is_recorded(tmp_path, monkeypatch):
+    tool = _tool()
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv in tool.comparison_set() if argv[2].startswith("neardeg")]
+    assert len(runs) == 2 * len(tool.NEAR_DEGENERATE_STEPS) == 26
+    record = tool.record(cli.main, runs[-1], "default")
+    assert (record["argv"][-1], record["exit"], record["stderr"]) == ("fermionic", 0, "")
+    assert json.loads(record["stdout"])["semi_polar"]["degenerate"] is False

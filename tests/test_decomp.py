@@ -6,7 +6,7 @@ import pytest
 from bellsplit.bell import correlation_matrix, u_eigen_closed
 from bellsplit.decomp import DegenerateXi, SemiPolar, r_prime, semi_polar
 from bellsplit.scattering import GammaPair, HybridMatrix, gammas, hybrid, make_scattering, preset
-from bellsplit.smallmat import SIGMA_Y, SIGMA_Z, dagger, haar_unitary, herm_eigen, max_abs, tilde2
+from bellsplit.smallmat import SIGMA_Y, SIGMA_Z, ConsistencyError, dagger, haar_unitary, herm_eigen, max_abs, tilde2
 from bellsplit.state import build_rho, mixture_norm
 
 
@@ -120,6 +120,26 @@ class TestSemiPolar:
     def test_vanishing_xi2_is_degenerate(self):
         with pytest.raises(DegenerateXi):
             semi_polar(gammas(make_scattering(np.eye(4))))
+
+    @pytest.mark.parametrize("gap, degenerate", [(1e-7, True), (4e-6, True), (5e-6, False), (1e-3, False)])
+    def test_xi_gap_floor(self, gap, degenerate):
+        # The floor sits at 2 eps / 1e-10 = 4.4e-6, under the 1e-10 reconstruction gate.
+        xi = np.array([0.3 + gap, 0.3])
+        g2 = np.diag(np.sqrt(xi)).astype(complex)
+        pair = GammaPair(make_q(c1=0.6, c2=0.5) @ g2, g2)
+        if degenerate:
+            with pytest.raises(DegenerateXi, match=r"^xi gap \S+ is below 4\.4e-06, "):
+                semi_polar(pair)
+        else:
+            r1, r2 = semi_polar(pair).reconstruct()
+            assert max_abs(r1 - pair.gamma1) <= 1e-10 and max_abs(r2 - pair.gamma2) <= 1e-10
+
+    def test_invalid_pair_is_a_consistency_failure(self):
+        # A non-real Tr gamma1† gamma2 is no amplitude pair of a splitter.
+        xi = np.array([0.8, 0.3])
+        g2 = np.diag(np.sqrt(xi)).astype(complex)
+        with pytest.raises(ConsistencyError, match="is not real; invalid amplitude pair"):
+            semi_polar(GammaPair(1j * make_q(c1=0.6, c2=0.5) @ g2, g2))
 
     def test_property_suite(self):
         done = 0

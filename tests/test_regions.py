@@ -24,6 +24,7 @@ from bellsplit.state import (
     require_coincidences,
 )
 from bellsplit.smallmat import ConsistencyError, max_abs
+from conftest import scan_cells, scan_cells_to_csv
 
 
 def slice_concurrence(p):
@@ -274,14 +275,13 @@ class TestNoMixing:
 
 class TestScan:
     def test_row_count_and_header(self):
-        rows = scan_grid(10, 10)
-        csv = scan_to_csv(rows)
+        csv = scan_to_csv(scan_grid(10, 10))
         lines = csv.strip().split("\n")
         assert lines[0] == "alpha_sq,hv_sq,concurrence,emax,branch,region"
         assert len(lines) == 101
 
     def test_lexicographic_order(self):
-        rows = scan_grid(5, 7)
+        rows = scan_cells(scan_grid(5, 7))
         keys = [(r.alpha_sq, r.hv_sq) for r in rows]
         assert keys == sorted(keys)
 
@@ -289,26 +289,26 @@ class TestScan:
         assert scan_to_csv(scan_grid(20, 20)) == scan_to_csv(scan_grid(20, 20))
 
     def test_corner_is_zero_coincidence(self):
-        rows = scan_grid(5, 5)
+        rows = scan_cells(scan_grid(5, 5))
         corner = [r for r in rows if r.alpha_sq == 1.0 and r.hv_sq == 0.25]
         assert len(corner) == 1
         assert corner[0].region == "zero_coincidence"
         assert np.isnan(corner[0].concurrence)
 
     def test_fermionic_region_map_differs(self):
-        bos = scan_grid(15, 15, "bosonic")
-        fer = scan_grid(15, 15, "fermionic")
+        bos = scan_cells(scan_grid(15, 15, "bosonic"))
+        fer = scan_cells(scan_grid(15, 15, "fermionic"))
         assert any(b.region != f.region for b, f in zip(bos, fer))
 
     def test_boundary_tagging(self):
-        rows = scan_grid(9, 9)
+        rows = scan_cells(scan_grid(9, 9))
         # alpha_sq = 0: both curves start at hv_sq = 0, so the (0, 0) cell is tagged.
         first = rows[0]
         assert first.branch == "boundary_f"
         assert first.region == "boundary_g"
 
     def test_sign_classification_against_g(self):
-        for row in scan_grid(40, 40):
+        for row in scan_cells(scan_grid(40, 40)):
             if row.region == "zero_coincidence":
                 continue
             gap = g_boundary(row.alpha_sq) - row.hv_sq
@@ -317,7 +317,7 @@ class TestScan:
             assert (row.emax > 2.0) == (gap > 0.0), row
 
     def test_entangled_nonviolating_witness_exists(self):
-        rows = scan_grid(40, 40)
+        rows = scan_cells(scan_grid(40, 40))
         assert any(r.concurrence >= 0.05 and r.emax <= 1.99 for r in rows)
 
     def test_e2_crossings_above_f_only_on_degenerate_edge(self):
@@ -328,7 +328,7 @@ class TestScan:
         # above the crossover other than that edge.
         crossings = [
             r
-            for r in scan_grid(60, 60)
+            for r in scan_cells(scan_grid(60, 60))
             if r.region not in ("zero_coincidence",)
             and r.hv_sq > f_boundary(r.alpha_sq) + 1e-9
             and abs(r.emax - 2.0) <= 1e-9
@@ -384,7 +384,7 @@ class TestArrayScan:
     @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
     def test_matches_scalar_route(self, statistics):
         ties = set()
-        for row in scan_grid(41, 41, statistics):
+        for row in scan_cells(scan_grid(41, 41, statistics)):
             c, e, branch, region = _scalar_row(row.alpha_sq, row.hv_sq, statistics)
             if region == "zero_coincidence":
                 assert (row.branch, row.region) == (branch, region)
@@ -401,7 +401,7 @@ class TestArrayScan:
 
     @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
     def test_against_50_digit_reference(self, statistics):
-        for row in scan_grid(41, 41, statistics):
+        for row in scan_cells(scan_grid(41, 41, statistics)):
             if row.region == "zero_coincidence":
                 continue
             c, e = _mp_reference(row.alpha_sq, row.hv_sq, statistics)
@@ -435,7 +435,7 @@ class TestArrayScan:
     @pytest.mark.parametrize("n", [2, 5, 40])
     def test_only_the_corner_is_empty(self, n):
         for statistics, expected in (("bosonic", [(1.0, 0.25)]), ("fermionic", [])):
-            empty = [r for r in scan_grid(n, n, statistics) if r.region == "zero_coincidence"]
+            empty = [r for r in scan_cells(scan_grid(n, n, statistics)) if r.region == "zero_coincidence"]
             assert [(r.alpha_sq, r.hv_sq) for r in empty] == expected
             for r in empty:
                 assert r.branch == "none" and np.isnan(r.concurrence) and np.isnan(r.emax)
@@ -475,8 +475,16 @@ class TestArrayScan:
         }
 
     def test_rows_and_csv_keep_their_format(self):
-        rows = scan_grid(3, 3)
-        assert rows[4]._fields == ("alpha_sq", "hv_sq", "concurrence", "emax", "branch", "region")
+        grid = scan_grid(3, 3)
+        assert grid._fields == ("alpha_sq", "hv_sq", "concurrence", "emax", "branch", "region")
+        assert [np.shape(x) for x in grid] == [(3, 1), (3,), (3, 3), (3, 3), (3, 3), (3, 3)]
+        rows = scan_cells(grid)
         assert all(type(x) is float for r in rows for x in r[:4])
         assert all(type(x) is str for r in rows for x in r[4:])
-        assert scan_to_csv(rows).splitlines()[5] == "0.5,0.125,{!r},{!r},{},{}".format(*rows[4][2:])
+        assert scan_to_csv(grid).splitlines()[5] == "0.5,0.125,{!r},{!r},{},{}".format(*rows[4][2:])
+
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (60, 60), (200, 200)])
+    def test_column_writer_matches_per_cell_writer(self, shape, statistics):
+        grid = scan_grid(*shape, statistics)
+        assert scan_to_csv(grid) == scan_cells_to_csv(scan_cells(grid))

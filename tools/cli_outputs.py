@@ -21,7 +21,14 @@ sweep: ``analyze --preset "balanced_mixing(theta)" --alpha-sq 1`` at
 theta = pi/2 - d for 26 log-spaced d in [1e-8, 1e-3] under both statistics,
 with theta passed as its float ``repr``. Near d = 0 the postselected
 ensemble empties and the closed forms lose precision, so that sweep records
-the exits and messages of that corner. The input files are
+the exits and messages of that corner. Then the near-degenerate family:
+``analyze --alpha-sq 0.5`` under both statistics on 13 splitter files
+S = B V diag(exp(i d w)) V†, with B the balanced_mixing(0.6) matrix, (w, V)
+the eigensystem of the Hermitian part of a complex Gaussian 4x4 matrix drawn
+from ``default_rng(5)``, and d every fifth of 61 log-spaced values in
+[1e-10, 1e-4]. Under fermionic statistics the two xi values of gamma2 there
+sit 7e-11 to 7e-5 apart, so those records hold what the joint
+factorization reports near its degenerate surface. The input files are
 written into a fresh working directory and passed by relative name, so
 ``scattering_source`` and every message read the same on both trees. An
 exception that escapes ``cli.main`` is recorded as exit 1 with its last line,
@@ -52,6 +59,7 @@ STATISTICS = ("bosonic", "fermionic")
 VERIFY_SEEDS = (0, 7, 31, 100)
 PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
 CORNER_DISTANCES = tuple(float(d) for d in np.logspace(-8.0, -3.0, 26))
+NEAR_DEGENERATE_STEPS = tuple(float(d) for d in np.logspace(-10.0, -4.0, 61)[::5])
 PROFILES = ("default", "strict")
 
 
@@ -62,6 +70,17 @@ def _haar(seed: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def _near_degenerate(step: float) -> np.ndarray:
+    # balanced_mixing(0.6) times exp(i step H) for one fixed random Hermitian H, built here with numpy alone.
+    c, s = math.cos(0.6), math.sin(0.6)
+    rot, eye = np.array([[c, -s], [s, c]]), np.eye(2)
+    mixing = np.block([[eye, 1j * rot], [1j * rot.T, eye]]) / math.sqrt(2.0)
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return mixing @ v @ np.diag(np.exp(1j * step * w)) @ v.conj().T
 
 
 def _matrix_json(m: np.ndarray) -> dict:
@@ -102,6 +121,9 @@ def write_inputs(workdir: Path) -> None:
     for name in bad:
         cfg = {"scattering": {"file": f"{name}.json"}, "alpha": {"alpha_sq": 0.5}}
         (workdir / f"{name}_cfg.json").write_text(json.dumps(cfg))
+    for i, step in enumerate(NEAR_DEGENERATE_STEPS):
+        (workdir / f"neardeg{i}.json").write_text(json.dumps(_matrix_json(_near_degenerate(step))))
+        (workdir / f"neardeg{i}_cfg.json").write_text(json.dumps({"scattering": {"file": f"neardeg{i}.json"}}))
 
 
 def comparison_set() -> list[list[str]]:
@@ -124,6 +146,11 @@ def comparison_set() -> list[list[str]]:
         runs += [
             ["analyze", "--preset", f"balanced_mixing({math.pi / 2.0 - d!r})", "--alpha-sq", "1", "--statistics", stats]
             for d in CORNER_DISTANCES
+        ]
+    for stats in STATISTICS:
+        runs += [
+            ["analyze", "--config", f"neardeg{i}_cfg.json", "--alpha-sq", "0.5", "--statistics", stats]
+            for i in range(len(NEAR_DEGENERATE_STEPS))
         ]
     return runs
 
