@@ -46,6 +46,9 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 #: eigenvalues of M, k squarings shrink the rest by ((1 + l3) / (1 + l2)) ** (2 ** k).
 _SQUARINGS = 60
 
+#: How far a closed eigenvalue u may pass 1 before the range gate fires; below 0 it may pass by the oracle rung.
+_U_CEILING_SLACK = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class AnalyzerSetting:
@@ -129,7 +132,7 @@ def u_from_invariants(inv: GramInvariants, alpha_sq, norm, live=True):
     """Closed-form eigenvalues (u1, u2, u3) of the squared correlation tensor; broadcasts.
 
     u1 >= u2 by the branch choice while u3 carries the interference weight
-    |alpha|^4. Every ``live`` cell must lie in [-1e-8, 1 + 1e-6], or
+    |alpha|^4. Every ``live`` cell must lie in [-oracle, 1 + _U_CEILING_SLACK], or
     ConsistencyError names the inputs of the first that does not; callers
     pass ``live=False`` (and a NaN norm) where the ensemble is empty. On
     Python floats ``x**2`` goes through libm pow, on arrays it squares
@@ -147,7 +150,7 @@ def u_from_invariants(inv: GramInvariants, alpha_sq, norm, live=True):
     u2 = (big_a + big_b - disc) / (2.0 * norm**2)
     u3 = 4.0 * a**2 * tt**2 / norm**2
     u = np.array([u1, u2, u3])
-    escaped = live & ~((u >= -1e-8) & (u <= 1.0 + 1e-6))
+    escaped = live & ~((u >= -DEFAULT_TOLERANCES.oracle) & (u <= 1.0 + _U_CEILING_SLACK))
     if escaped.any():
         value, a_at, *inv_at = first_where(escaped, u, a, *inv)
         raise ConsistencyError(

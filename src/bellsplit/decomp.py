@@ -24,9 +24,6 @@ __all__ = [
     "r_prime",
 ]
 
-#: Below this modulus an off-diagonal entry of the rotated gamma1 carries no phase.
-_PHASE_FLOOR = 1e-14
-
 #: Smallest xi gap (4.4e-6) the identity-rung reconstruction gate can certify: the SVD of gamma2
 #: fixes u and v only to about eps / gap, and the rebuilt pair errs by 1.1-1.6 eps / gap near xi1 = xi2.
 _XI_GAP_FLOOR = 2.0 * np.finfo(float).eps / DEFAULT_TOLERANCES.identity
@@ -72,10 +69,10 @@ def semi_polar(g: GammaPair) -> SemiPolar:
 
     Steps: svd2 of gamma2 fixes u, v and xi (cross-checked against the trace
     formulas); the rotated gamma1 has real diagonal c1 * (sqrt(xi1), -sqrt(xi2))
-    with c1 = Tr gamma1† gamma2 / (xi1 - xi2); the residual off-diagonal phase
-    is pulled out as a diagonal phase pair and absorbed into u and v. The sign
-    freedom left in the off-diagonal couple is fixed by c2 >= 0. A failed
-    cross-check raises ConsistencyError.
+    with c1 = Tr gamma1† gamma2 / (xi1 - xi2); the residual off-diagonal phase,
+    read from the larger-modulus coupling, is pulled out as a diagonal phase
+    pair and absorbed into u and v. The sign freedom left in the off-diagonal
+    couple is fixed by c2 >= 0. A failed cross-check raises ConsistencyError.
     """
     tol, oracle = DEFAULT_TOLERANCES.identity, DEFAULT_TOLERANCES.oracle
     g1, g2 = g.gamma1, g.gamma2
@@ -103,12 +100,8 @@ def semi_polar(g: GammaPair) -> SemiPolar:
     if abs(a[0, 0] - c1 * np.sqrt(xi[0])) > oracle or abs(a[1, 1] + c1 * np.sqrt(xi[1])) > oracle:
         raise ConsistencyError("rotated gamma1 diagonal violates the joint-factorization structure")
 
-    if abs(a[0, 1]) > _PHASE_FLOOR:
-        phi = float(np.angle(a[0, 1]))
-    elif abs(a[1, 0]) > _PHASE_FLOOR:
-        phi = -float(np.angle(a[1, 0]))
-    else:
-        phi = 0.0
+    # The smaller coupling's angle errs by noise / its modulus, so the larger one sets the phase.
+    phi = float(np.angle(a[0, 1]) if abs(a[0, 1]) >= abs(a[1, 0]) else -np.angle(a[1, 0]))
     a12 = a[0, 1] * np.exp(-1j * phi)
     a21 = a[1, 0] * np.exp(1j * phi)
     if abs(a12.imag) > oracle or abs(a21.imag) > oracle:

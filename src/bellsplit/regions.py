@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scattering import HybridMatrix, gram_invariants
-from .smallmat import ConsistencyError, first_where
+from .smallmat import DEFAULT_TOLERANCES, ConsistencyError, first_where
 from .state import check_alpha_sq, concurrence_closed, concurrence_from_invariants, empty_ensemble, mixture_norm
 from .bell import emax_and_branch, u_eigen_closed, u_from_invariants
 
@@ -36,6 +36,9 @@ __all__ = [
 #: Cells closer than this to the f or g curve are tagged instead of classified.
 BOUNDARY_BAND = 1e-6
 
+#: The branch check skips cells this close to f: there u2 - u3 is of order |h - f|, and rounding can flip its sign.
+_CROSSOVER_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class BalancedPoint:
@@ -46,7 +49,7 @@ class BalancedPoint:
 
     def __post_init__(self):
         check_alpha_sq(self.alpha_sq)
-        if not 0.0 <= self.hv_sq <= 0.25 + 1e-12:
+        if not 0.0 <= self.hv_sq <= 0.25 + DEFAULT_TOLERANCES.construction:
             raise ValueError(f"hv_sq must lie in [0, 1/4], got {self.hv_sq}")
 
 
@@ -104,7 +107,8 @@ def _sqrt_gram(hv_sq: float) -> np.ndarray:
 def _check_branch(a, h, f, u2, u3) -> None:
     # Bosonic slice: the crossover curve f must predict the active branch
     # wherever u2 and u3 differ, away from a thin band around f; broadcasts.
-    wrong = (a > 0.0) & (np.abs(u2 - u3) > 1e-12) & ((h <= f) != (u3 >= u2)) & (np.abs(h - f) > 1e-9)
+    tie = DEFAULT_TOLERANCES.construction
+    wrong = (a > 0.0) & (np.abs(u2 - u3) > tie) & ((h <= f) != (u3 >= u2)) & (np.abs(h - f) > _CROSSOVER_BAND)
     if np.any(wrong):
         a, h, u2, u3 = first_where(wrong, a, h, u2, u3)
         raise ConsistencyError(f"branch crossover prediction failed at ({a}, {h}): u2={u2}, u3={u3}")
@@ -115,7 +119,8 @@ _REGIONS = np.array(["entangled_nonviolating", "unentangled", "violating"], dtyp
 
 def _region(c, e):
     """Region label from the concurrence and the CHSH maximum; broadcasts."""
-    return _REGIONS[np.where(e > 2.0 + 1e-12, 2, np.where(c <= 1e-12, 1, 0))]
+    slack = DEFAULT_TOLERANCES.construction
+    return _REGIONS[np.where(e > 2.0 + slack, 2, np.where(c <= slack, 1, 0))]
 
 
 def balanced_emax(p: BalancedPoint, statistics: str = "bosonic") -> ScanRow:

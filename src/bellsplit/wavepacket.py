@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .smallmat import DEFAULT_TOLERANCES
 
 __all__ = [
     "QuadratureNotConverged",
@@ -39,9 +41,8 @@ __all__ = [
     "simpson_weights",
 ]
 
-_NORM_TOL = 1e-8
 _DENOM_FLOOR = 1e-14
-_SQ_SLACK = 1e-10  # rounding allowed past |alpha|^2 = 1
+_SQ_SLACK = DEFAULT_TOLERANCES.identity  # rounding allowed past |alpha|^2 = 1
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -133,38 +134,27 @@ class TabulatedPacket:
     """Spectral amplitude sampled on a strictly increasing frequency grid.
 
     Linear interpolation between samples, zero outside the grid. The samples
-    must already be unit-normalized; use :func:`read_packet_csv` or
-    :meth:`normalized` to normalize raw data.
+    are scaled to unit Simpson norm at construction; ``_factor`` is the
+    amplitude factor applied.
     """
 
     omega: np.ndarray
     amp: np.ndarray
-    normalize: InitVar[bool] = False  # scale raw samples to unit norm, as :meth:`normalized` does
     _weights: np.ndarray = field(init=False, repr=False)
-    _factor: float = field(init=False, repr=False)  # the amplitude factor applied by ``normalize``
+    _factor: float = field(init=False, repr=False)
 
-    def __post_init__(self, normalize: bool):
+    def __post_init__(self):
         omega, amp = _checked_samples(self.omega, self.amp)
         weights = simpson_weights(omega)
-        factor = 1.0
-        if normalize:
+        with np.errstate(over="ignore"):  # an overflowing |amp|^2 is rejected below, not warned about
             norm = float(np.sum(weights * np.abs(amp) ** 2))
-            if norm <= 0.0:
-                raise ValueError("cannot normalize a zero packet")
-            factor = 1.0 / np.sqrt(norm)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a packet whose integral |amp|^2 is {norm}")
+        factor = 1.0 / np.sqrt(norm)
         object.__setattr__(self, "omega", omega.copy())
         object.__setattr__(self, "amp", amp * factor)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_factor", factor)
-        norm = float(np.sum(weights * np.abs(self.amp) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"packet is not normalized: integral |amp|^2 = {norm:.10f}")
-
-    @classmethod
-    def normalized(cls, omega, amp) -> tuple["TabulatedPacket", float]:
-        """Normalize raw samples; returns the packet and the applied factor."""
-        packet = cls(omega, amp, normalize=True)
-        return packet, packet._factor
 
     def support(self) -> tuple[float, float]:
         return (float(self.omega[0]), float(self.omega[-1]))
@@ -241,7 +231,8 @@ def read_packet_csv(path) -> tuple[TabulatedPacket, float]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         raise
-    return TabulatedPacket.normalized(samples[:, 0], samples[:, 1] + 1j * samples[:, 2])
+    packet = TabulatedPacket(samples[:, 0], samples[:, 1] + 1j * samples[:, 2])
+    return packet, packet._factor
 
 
 @functools.cache  # on first use, not at import: its eigh would map LAPACK workspace in every process
@@ -289,9 +280,9 @@ def alpha_infinite_window(psi: Wavepacket, phi: Wavepacket) -> OverlapAlpha:
     """Overlap alpha = integral dw phi(w) psi*(w) in the infinite-window limit.
 
     The packets' own numerically evaluated norms divide the result, so the
-    Cauchy-Schwarz bound |alpha| <= 1 holds to rounding even when the inputs
-    carry the permitted 1e-8 normalization slack. Raises QuadratureNotConverged
-    when the packets' relative delay needs more than 16,384 panels.
+    Cauchy-Schwarz bound |alpha| <= 1 holds to rounding whatever the rule's
+    error in each norm. Raises QuadratureNotConverged when the packets'
+    relative delay needs more than 16,384 panels.
     """
     lo = max(psi.support()[0], phi.support()[0])
     hi = min(psi.support()[1], phi.support()[1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bellsplit.regions import ScanRow
+from bellsplit.scattering import preset
 from bellsplit.smallmat import haar_unitary
 
 
@@ -13,6 +14,21 @@ def rng():
 def haar_ensemble(n, count, base_seed=1000):
     """Deterministic list of Haar unitaries for property loops."""
     return [haar_unitary(n, base_seed + i) for i in range(count)]
+
+
+def mixing_times_drift(theta, seed, steps):
+    """Splitters balanced_mixing(theta) exp(i d H), one per d in ``steps``.
+
+    H is the Hermitian part of a complex Gaussian 4x4 matrix drawn from
+    ``default_rng(seed)``. Under fermionic statistics small d brings the two
+    xi values of gamma2 together, so the family probes the joint
+    factorization near its degenerate surface.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    base = preset("balanced_mixing", theta).s
+    return [base @ v @ np.diag(np.exp(1j * d * w)) @ v.conj().T for d in steps]
 
 
 def scan_cells(grid):

@@ -278,7 +278,7 @@ def test_criterion_8_wavepacket_limits():
 
     bounds_ok = True
     grid = np.linspace(-8.0, 8.0, 1201)
-    tab = wavepacket.TabulatedPacket.normalized(grid, np.exp(-(grid**2) / 4.0) * np.exp(0.2j * grid))[0]
+    tab = wavepacket.TabulatedPacket(grid, np.exp(-(grid**2) / 4.0) * np.exp(0.2j * grid))
     cases = []
     for dt in (0.0, 0.3, 1.0, 2.5):
         other = wavepacket.GaussianPacket(0.0, 1.0, delay=dt)

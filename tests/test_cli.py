@@ -15,6 +15,7 @@ from bellsplit.cli import main
 from bellsplit.smallmat import mat_to_json
 from bellsplit import state as state_mod
 from bellsplit import verify as verify_mod
+from conftest import mixing_times_drift
 
 NO_COINCIDENCE_S = np.array(
     [
@@ -297,23 +298,12 @@ class TestAnalyze:
         assert err == "error: internal consistency failure: singular values inconsistent with the norm of gamma2\n"
 
 
-def near_degenerate_family():
-    """Splitters balanced_mixing(0.6) exp(i d H), 61 log-spaced d in [1e-10, 1e-4], one random Hermitian H.
-
-    Under fermionic statistics the two xi values of gamma2 sit 7e-11 to 7e-5 apart.
-    """
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    base = scattering_mod.preset("balanced_mixing", 0.6).s
-    return [base @ v @ np.diag(np.exp(1j * d * w)) @ v.conj().T for d in np.logspace(-10.0, -4.0, 61)]
-
-
 class TestNearDegenerateXi:
     @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
     def test_family_exits_0(self, tmp_path, capsys, statistics):
+        # Under fermionic statistics the two xi values of gamma2 sit 7e-11 to 7e-5 apart.
         semis = []
-        for s in near_degenerate_family():
+        for s in mixing_times_drift(0.6, 5, np.logspace(-10.0, -4.0, 61)):
             path = tmp_path / "s.json"
             path.write_text(json.dumps(mat_to_json(s)))
             config = tmp_path / "cfg.json"
@@ -328,6 +318,22 @@ class TestNearDegenerateXi:
                 assert semi["xi"][0] - semi["xi"][1] >= 4.4e-6, semi
         # Bosonic statistics keep gamma2 far from degenerate here; fermionic ones cross the floor.
         assert {semi["degenerate"] for semi in semis} == ({False} if statistics == "bosonic" else {False, True})
+
+    @pytest.mark.parametrize("statistics", ["bosonic", "fermionic"])
+    def test_small_coupling_does_not_set_the_phase(self, tmp_path, capsys, statistics):
+        # xi gap 1.9e-4 and |a01| / |a10| = 0.009 as fermions: a phase read from the small a01
+        # fails the reconstruction gate (exit 4).
+        s = mixing_times_drift(0.6, 15, np.logspace(-7.0, -3.0, 17))[14]
+        (tmp_path / "s.json").write_text(json.dumps(mat_to_json(s)))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scattering": {"file": str(tmp_path / "s.json")}}))
+        argv = ["analyze", "--config", str(config), "--alpha-sq", "0.5", "--statistics", statistics]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), err
+        semi = json.loads(out)["semi_polar"]
+        assert semi["degenerate"] is False
+        if statistics == "fermionic":
+            assert 1e-4 < semi["xi"][0] - semi["xi"][1] < 3e-4
 
 
 def gaussian_pair(width, delay, window):
@@ -528,8 +534,11 @@ class TestMalformedConfig:
             ("omega,re,im\n0.0,1.0,0.0\n", "phi.csv: need at least two samples"),
             # A nan frequency read "frequency grid must be strictly increasing".
             ("omega,re,im\n0.0,1.0,0.0\nnan,1.0,0.0\n2.0,1.0,0.0\n", "samples must be finite"),
+            ("omega,re,im\n0.0,0.0,0.0\n1.0,0.0,0.0\n", "cannot normalize a packet whose integral |amp|^2 is 0.0"),
+            # |amp|^2 overflows to inf: rejected, where dividing by it would scale the packet to zero.
+            ("omega,re,im\n0.0,1e160,0.0\n1.0,1e160,0.0\n", "cannot normalize a packet whose integral |amp|^2 is inf"),
         ],
-        ids=["bad-number", "short-row", "long-row", "header", "empty", "one-sample", "nan-omega"],
+        ids=["bad-number", "short-row", "long-row", "header", "empty", "one-sample", "nan-omega", "zero", "overflow"],
     )
     def test_bad_packet_file_message(self, tmp_path, capsys, monkeypatch, text, message):
         monkeypatch.chdir(tmp_path)

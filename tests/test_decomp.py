@@ -8,6 +8,7 @@ from bellsplit.decomp import DegenerateXi, SemiPolar, r_prime, semi_polar
 from bellsplit.scattering import GammaPair, HybridMatrix, gammas, hybrid, make_scattering, preset
 from bellsplit.smallmat import SIGMA_Y, SIGMA_Z, ConsistencyError, dagger, haar_unitary, herm_eigen, max_abs, tilde2
 from bellsplit.state import build_rho, mixture_norm
+from conftest import mixing_times_drift
 
 
 def pipeline(seed):
@@ -140,6 +141,23 @@ class TestSemiPolar:
         g2 = np.diag(np.sqrt(xi)).astype(complex)
         with pytest.raises(ConsistencyError, match="is not real; invalid amplitude pair"):
             semi_polar(GammaPair(1j * make_q(c1=0.6, c2=0.5) @ g2, g2))
+
+    def test_drift_family_factors_or_is_degenerate(self):
+        # 8,160 pairs near degenerate xi. Reading the phase from a[0, 1] whenever it exceeded 1e-14
+        # amplified the noise by |a10| / |a01| (1 / 0.009 at seed 15, theta 0.6, d 3.2e-4): 54
+        # fermionic pairs failed the reconstruction gate.
+        outcomes = {"factored": 0, "degenerate": 0}
+        for theta in (0.2, 0.6, 1.0, 2.5):
+            for seed in range(60):
+                for s in mixing_times_drift(theta, seed, np.logspace(-7.0, -3.0, 17)):
+                    sm = make_scattering(s)
+                    for statistics in ("bosonic", "fermionic"):
+                        try:
+                            assert isinstance(semi_polar(gammas(sm, statistics)), SemiPolar)
+                            outcomes["factored"] += 1
+                        except DegenerateXi:
+                            outcomes["degenerate"] += 1
+        assert outcomes == {"factored": 6293, "degenerate": 1867}
 
     def test_property_suite(self):
         done = 0

@@ -47,14 +47,38 @@ def test_readme_quick_start_runs():
     assert all(math.isfinite(v) for v in numbers), printed
 
 
+def _loaded_after_cli_import(prefix):
+    """Sorted names of the modules starting with ``prefix`` that a fresh ``import bellsplit.cli`` loads."""
+    src = str(Path(bellsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = f"import sys, bellsplit.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout)
+
+
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # The Gauss-Legendre nodes come from a 24 x 24 eigh on first use; numpy.polynomial
     # (leggauss) would add ~6 ms to every start-up.
-    src = str(Path(bellsplit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, bellsplit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_after_cli_import("numpy.polynomial") == []
+
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MODULES = ("bell", "cli", "decomp", "regions", "scattering", "smallmat", "state", "verify", "wavepacket")
+
+
+def test_cli_import_loads_every_traced_module():
+    # bench/tracing.py rebinds names only in the bellsplit modules loaded when it installs,
+    # so a module that ``import bellsplit.cli`` left for later would escape the trace.
+    loaded = _loaded_after_cli_import("bellsplit")
+    assert loaded == ["bellsplit"] + [f"bellsplit.{name}" for name in MODULES]
+    if not TRACING.exists():
+        pytest.skip("bench/ is not in this checkout")
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    )
+    assert {f"bellsplit.{name}" for name in traced} <= set(loaded)
 
 
 def test_cli_commands_call_no_kron(monkeypatch):

@@ -50,7 +50,7 @@ def loop_simpson_weights(x):
 def tabulated_gaussian(center=0.0, width=1.0, delay=0.0, n=801, span=8.0):
     grid = np.linspace(center - span * width, center + span * width, n)
     amp = GaussianPacket(center, width, delay).amplitude(grid)
-    return TabulatedPacket.normalized(grid, amp)[0]
+    return TabulatedPacket(grid, amp)
 
 
 class TestSimpsonWeights:
@@ -108,11 +108,6 @@ class TestPackets:
             numeric = np.sum(w * p.amplitude(grid) * np.exp(1j * grid * t))
             assert abs(p.time_amplitude(t) - numeric) <= 1e-6
 
-    def test_tabulated_rejects_unnormalized(self):
-        grid = np.linspace(-4, 4, 101)
-        with pytest.raises(ValueError):
-            TabulatedPacket(grid, np.exp(-(grid**2)))
-
     def test_tabulated_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             TabulatedPacket(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0, 1.0]))
@@ -120,16 +115,22 @@ class TestPackets:
     def test_non_finite_grid_is_reported_before_its_order(self):
         # A nan frequency read "frequency grid must be strictly increasing".
         with pytest.raises(ValueError, match="samples must be finite"):
-            TabulatedPacket.normalized(np.array([0.0, np.nan, 1.0]), np.ones(3))
+            TabulatedPacket(np.array([0.0, np.nan, 1.0]), np.ones(3))
 
     def test_tabulated_normalized_factor(self):
         grid = np.linspace(-5, 5, 201)
         raw = np.exp(-(grid**2) / 2.0) * (1 + 0j)
-        packet, factor = TabulatedPacket.normalized(grid, raw)
+        packet = TabulatedPacket(grid, raw)
+        factor = packet._factor
         norm = np.sum(simpson_weights(grid) * np.abs(packet.amp) ** 2)
         assert norm == pytest.approx(1.0, abs=1e-12)
         raw_norm = np.sum(simpson_weights(grid) * np.abs(raw) ** 2)
         assert factor == pytest.approx(1.0 / np.sqrt(raw_norm), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e160], ids=["zero", "overflow"])
+    def test_tabulated_rejects_a_norm_it_cannot_invert(self, scale):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            TabulatedPacket(np.linspace(-1.0, 1.0, 5), np.full(5, scale))
 
     def test_tabulated_zero_outside_support(self):
         p = tabulated_gaussian()
@@ -244,8 +245,8 @@ class TestAlphaInfinite:
     def test_global_phase_invariance(self, phase):
         grid = np.linspace(-8.0, 8.0, 1001)
         base = GaussianPacket(0.0, 1.0).amplitude(grid)
-        p1 = TabulatedPacket.normalized(grid, base)[0]
-        p2 = TabulatedPacket.normalized(grid, base * np.exp(1j * phase))[0]
+        p1 = TabulatedPacket(grid, base)
+        p2 = TabulatedPacket(grid, base * np.exp(1j * phase))
         ref = GaussianPacket(0.0, 1.0, delay=0.4)
         a1 = alpha_infinite_window(ref, p1).alpha_sq
         a2 = alpha_infinite_window(ref, p2).alpha_sq
@@ -369,6 +370,8 @@ class TestCsvReader:
         assert factor > 0.0
         norm = np.sum(simpson_weights(packet.omega) * np.abs(packet.amp) ** 2)
         assert norm == pytest.approx(1.0, abs=1e-12)
+        read = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(packet.amp, (read[:, 1] + 1j * read[:, 2]) * factor)
 
     def test_samples_checked_and_weighted_once_per_read(self, tmp_path, monkeypatch):
         grid = np.linspace(-6, 6, 201)

@@ -28,7 +28,12 @@ the eigensystem of the Hermitian part of a complex Gaussian 4x4 matrix drawn
 from ``default_rng(5)``, and d every fifth of 61 log-spaced values in
 [1e-10, 1e-4]. Under fermionic statistics the two xi values of gamma2 there
 sit 7e-11 to 7e-5 apart, so those records hold what the joint
-factorization reports near its degenerate surface. The input files are
+factorization reports near its degenerate surface. Last, the small-coupling
+family: the same command on 7 files built the same way from
+``default_rng(15)`` with d the 9th to 15th of 17 log-spaced values in
+[1e-7, 1e-3]. As fermions their xi gaps run from 6.0e-6 to 1.9e-4 and the
+rotated gamma1's two couplings differ in modulus about 110-fold, so those
+records show which coupling sets the factorization's phase. The input files are
 written into a fresh working directory and passed by relative name, so
 ``scattering_source`` and every message read the same on both trees. An
 exception that escapes ``cli.main`` is recorded as exit 1 with its last line,
@@ -60,6 +65,7 @@ VERIFY_SEEDS = (0, 7, 31, 100)
 PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
 CORNER_DISTANCES = tuple(float(d) for d in np.logspace(-8.0, -3.0, 26))
 NEAR_DEGENERATE_STEPS = tuple(float(d) for d in np.logspace(-10.0, -4.0, 61)[::5])
+SMALL_COUPLING_STEPS = tuple(float(d) for d in np.logspace(-7.0, -3.0, 17)[8:15])
 PROFILES = ("default", "strict")
 
 
@@ -72,12 +78,12 @@ def _haar(seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _near_degenerate(step: float) -> np.ndarray:
-    # balanced_mixing(0.6) times exp(i step H) for one fixed random Hermitian H, built here with numpy alone.
+def _near_degenerate(step: float, seed: int = 5) -> np.ndarray:
+    # balanced_mixing(0.6) times exp(i step H) for the random Hermitian H of ``seed``, built here with numpy alone.
     c, s = math.cos(0.6), math.sin(0.6)
     rot, eye = np.array([[c, -s], [s, c]]), np.eye(2)
     mixing = np.block([[eye, 1j * rot], [1j * rot.T, eye]]) / math.sqrt(2.0)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return mixing @ v @ np.diag(np.exp(1j * step * w)) @ v.conj().T
@@ -124,6 +130,10 @@ def write_inputs(workdir: Path) -> None:
     for i, step in enumerate(NEAR_DEGENERATE_STEPS):
         (workdir / f"neardeg{i}.json").write_text(json.dumps(_matrix_json(_near_degenerate(step))))
         (workdir / f"neardeg{i}_cfg.json").write_text(json.dumps({"scattering": {"file": f"neardeg{i}.json"}}))
+    for i, step in enumerate(SMALL_COUPLING_STEPS):
+        (workdir / f"smallcoupling{i}.json").write_text(json.dumps(_matrix_json(_near_degenerate(step, seed=15))))
+        cfg = {"scattering": {"file": f"smallcoupling{i}.json"}}
+        (workdir / f"smallcoupling{i}_cfg.json").write_text(json.dumps(cfg))
 
 
 def comparison_set() -> list[list[str]]:
@@ -151,6 +161,11 @@ def comparison_set() -> list[list[str]]:
         runs += [
             ["analyze", "--config", f"neardeg{i}_cfg.json", "--alpha-sq", "0.5", "--statistics", stats]
             for i in range(len(NEAR_DEGENERATE_STEPS))
+        ]
+    for stats in STATISTICS:
+        runs += [
+            ["analyze", "--config", f"smallcoupling{i}_cfg.json", "--alpha-sq", "0.5", "--statistics", stats]
+            for i in range(len(SMALL_COUPLING_STEPS))
         ]
     return runs
 
