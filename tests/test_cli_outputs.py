@@ -58,3 +58,15 @@ def test_near_degenerate_family_is_recorded(tmp_path, monkeypatch):
     record = tool.record(cli.main, runs[-1], "default")
     assert (record["argv"][-1], record["exit"], record["stderr"]) == ("fermionic", 0, "")
     assert json.loads(record["stdout"])["semi_polar"]["degenerate"] is False
+
+
+def test_csv_pairs_are_recorded_in_both_windows(tmp_path, monkeypatch):
+    tool = _tool()
+    tool.write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    names = [f"packets_{n}.json" for n in ("csv", "csv_finite", "same_grid", "same_grid_finite")]
+    runs = [argv for argv in tool.comparison_set() if argv[2] in names]
+    assert [argv[2] for argv in runs] == 2 * names  # once under each statistics
+    for argv in runs[:4]:
+        record = tool.record(cli.main, argv, "default")
+        assert (record["exit"], record["stderr"]) == (0, ""), argv

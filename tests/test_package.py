@@ -134,11 +134,16 @@ def _product_paths(tmp: Path) -> None:
     omega = np.linspace(-6.0, 6.0, 201).tolist()
     packet = tmp / "phi.csv"
     packet.write_text("omega,re,im\n" + "".join(f"{w!r},{math.exp(-w * w / 2)!r},0.0\n" for w in omega))
+    delayed = tmp / "phi_delayed.csv"  # the same grid, so the pair shares its kernels and amplitudes
+    amp = [math.exp(-w * w / 2) * complex(math.cos(0.7 * w), -math.sin(0.7 * w)) for w in omega]
+    delayed.write_text("omega,re,im\n" + "".join(f"{w!r},{a.real!r},{a.imag!r}\n" for w, a in zip(omega, amp)))
     gaussian = {"gaussian": {"center": 0.0, "width": 1.0, "delay": 0.3}}
     configs = [{"scattering": {"file": str(matrix)}, "alpha": {"alpha_sq": 0.4}, "statistics": "fermionic"}]
+    csv, csv_delayed = {"csv": str(packet)}, {"csv": str(delayed)}
     for window in ("infinite", {"t": 0.1, "tau": 2.5}):
-        alpha = {"psi": gaussian, "phi": {"csv": str(packet)}, "window": window}
-        configs.append({"scattering": {"preset": "balanced_mixing", "theta": 0.6}, "alpha": alpha})
+        for psi, phi in ((gaussian, csv), (csv, csv_delayed)):
+            alpha = {"psi": psi, "phi": phi, "window": window}
+            configs.append({"scattering": {"preset": "balanced_mixing", "theta": 0.6}, "alpha": alpha})
     runs = [["analyze", "--preset", p, "--alpha-sq", "0.37"] for p in ("identity", "balanced_pc", "balanced_mixing(0.3)")]
     for i, config in enumerate(configs):
         path = tmp / f"cfg{i}.json"

@@ -17,6 +17,8 @@ from bellsplit.wavepacket import (
     temporal_distinguishability,
 )
 
+from conftest import per_packet_alpha_finite, per_packet_alpha_infinite
+
 # Frozen overlap values for identical unit-width Gaussians delayed by dt,
 # computed with a 2^20-point trapezoid oracle over a 24-sigma span; they match
 # the analytic decay exp(-dt^2) to 14 digits.
@@ -673,3 +675,52 @@ class TestGaussLegendreWindow:
         p = GaussianPacket(0.0, 1.0) if kind == "gaussian" else tabulated_gaussian(n=201)
         with pytest.raises(EmptyWindow), np.errstate(invalid="ignore"):
             alpha_finite_window(p, p, t, 1.0)
+
+
+def shared_grid_pairs(count=24, seed=30):
+    """(psi, phi, t, tau): a Gaussian spectrum and a delayed copy on one linspace(-8 sigma, 8 sigma, n) grid.
+
+    n in {201, 401, 801}, sigma in [0.5, 2], delay in [0, 2.5 / sigma],
+    tau in [2, 4] / sigma and t = delay / 2: the shape of a measured Mandel dip.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        n, sigma = int(rng.choice([201, 401, 801])), float(rng.uniform(0.5, 2.0))
+        delay, tau = float(rng.uniform(0.0, 2.5)) / sigma, float(rng.uniform(2.0, 4.0)) / sigma
+        psi, phi = (tabulated_gaussian(0.0, sigma, d, n=n) for d in (0.0, delay))
+        pairs.append((psi, phi, delay / 2.0, tau))
+    psi = tabulated_gaussian(0.0, 1.0, 0.3, n=401)
+    pairs.append((psi, psi, 0.2, 3.0))  # psi is phi
+    other = TabulatedPacket(np.linspace(-7.0, 9.0, 301), np.exp(-np.linspace(-7.0, 9.0, 301) ** 2 / 4.0))
+    pairs.append((psi, other, 0.1, 2.5))  # different grids: the per-packet path itself
+    return pairs
+
+
+SHARED_GRID_PAIRS = shared_grid_pairs()
+
+
+class TestSharedGrid:
+    @pytest.mark.parametrize("case", range(len(SHARED_GRID_PAIRS)))
+    def test_alpha_is_bit_identical_to_the_per_packet_evaluation(self, case):
+        psi, phi, t, tau = SHARED_GRID_PAIRS[case]
+        assert alpha_infinite_window(psi, phi).alpha == per_packet_alpha_infinite(psi, phi)
+        assert alpha_finite_window(psi, phi, t, tau).alpha == per_packet_alpha_finite(psi, phi, t, tau)
+
+    def test_equal_grids_share_kernels_and_amplitudes(self, monkeypatch):
+        counts = {"_kernel": 0, "amplitude": 0}
+        for name in counts:
+
+            def counted(self, x, original=getattr(TabulatedPacket, name), name=name):
+                counts[name] += 1
+                return original(self, x)
+
+            monkeypatch.setattr(TabulatedPacket, name, counted)
+        psi, phi = tabulated_gaussian(n=201), tabulated_gaussian(delay=0.8, n=201)
+        other = TabulatedPacket(np.linspace(-7.0, 9.0, 161), np.exp(-np.linspace(-7.0, 9.0, 161) ** 2 / 4.0))
+        # Beat 16 rad/s over tau = 6: 6 panels, 144 nodes, 3 blocks. Beat 17: 7 panels, 168 nodes, 3 blocks.
+        for pair, kernels, amplitudes in [((psi, phi), 3, 2), ((psi, psi), 3, 2), ((psi, other), 6, 4)]:
+            counts.update(_kernel=0, amplitude=0)
+            alpha_finite_window(*pair, 0.4, 6.0)
+            alpha_infinite_window(*pair)
+            assert counts == {"_kernel": kernels, "amplitude": amplitudes}, pair

@@ -13,8 +13,11 @@ returns.
 
 The set: ``analyze`` on 8 presets x 6 alphas, on 12 Haar-random splitter
 files x 4 alphas and on wavepacket configs (Gaussian x CSV in both windows,
-Gaussian x Gaussian at an ordinary and a far delay and CSV x CSV in the
-infinite window; all under both statistics), a few
+Gaussian x Gaussian at an ordinary and a far delay, ``packet.csv`` x
+``packet_wide.csv`` on interleaved grids in both windows (``packets_csv``,
+``packets_csv_finite``) and ``packet.csv`` x ``packet_delayed.csv``, its grid
+and amplitude times exp(-0.7 i w), in both windows (``packets_same_grid``,
+``packets_same_grid_finite``); all under both statistics), a few
 malformed scattering and packet files, ``scan --grid 60x60`` under both
 statistics, ``verify --count 25`` at four seeds and, last, the empty-corner
 sweep: ``analyze --preset "balanced_mixing(theta)" --alpha-sq 1`` at
@@ -62,7 +65,7 @@ HAAR_SEEDS = range(12)
 HAAR_ALPHAS = (0.1, 0.4, 0.7, 1.0)
 STATISTICS = ("bosonic", "fermionic")
 VERIFY_SEEDS = (0, 7, 31, 100)
-PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv")
+PACKET_CONFIGS = ("infinite", "finite", "gauss", "gauss_far", "csv", "csv_finite", "same_grid", "same_grid_finite")
 CORNER_DISTANCES = tuple(float(d) for d in np.logspace(-8.0, -3.0, 26))
 NEAR_DEGENERATE_STEPS = tuple(float(d) for d in np.logspace(-10.0, -4.0, 61)[::5])
 SMALL_COUPLING_STEPS = tuple(float(d) for d in np.logspace(-7.0, -3.0, 17)[8:15])
@@ -94,7 +97,7 @@ def _matrix_json(m: np.ndarray) -> dict:
 
 
 def _packet_csv(omega, amp) -> str:
-    return "omega,re,im\n" + "".join(f"{w!r},{a!r},0.0\n" for w, a in zip(omega, amp))
+    return "omega,re,im\n" + "".join(f"{w!r},{complex(a).real!r},{complex(a).imag!r}\n" for w, a in zip(omega, amp))
 
 
 def write_inputs(workdir: Path) -> None:
@@ -104,6 +107,8 @@ def write_inputs(workdir: Path) -> None:
         (workdir / f"haar{seed}_cfg.json").write_text(json.dumps({"scattering": {"file": f"haar{seed}.json"}}))
     omega = np.linspace(-6.0, 6.0, 201).tolist()
     (workdir / "packet.csv").write_text(_packet_csv(omega, [math.exp(-w * w / 2.0) for w in omega]))
+    delayed = [math.exp(-w * w / 2.0) * complex(math.cos(0.7 * w), -math.sin(0.7 * w)) for w in omega]
+    (workdir / "packet_delayed.csv").write_text(_packet_csv(omega, delayed))
     shifted = np.linspace(-7.0, 5.0, 161).tolist()  # its nodes interleave with packet.csv's
     (workdir / "packet_wide.csv").write_text(_packet_csv(shifted, [math.exp(-w * w / 3.0) for w in shifted]))
     (workdir / "descending.csv").write_text(_packet_csv([3.0, 2.0, 1.0], [0.5, 1.0, 0.5]))
@@ -112,12 +117,16 @@ def write_inputs(workdir: Path) -> None:
     for name, fields in bad.items():
         (workdir / f"{name}.json").write_text(json.dumps({**_matrix_json(np.eye(4)), **fields}))
     gaussian = {"gaussian": {"center": 0.0, "width": 1.0, "delay": 0.3}}
+    window, same_grid = {"t": 0.1, "tau": 2.5}, {"csv": "packet_delayed.csv"}
     configs = {
         "packets_infinite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": "infinite"},
-        "packets_finite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": {"t": 0.1, "tau": 2.5}},
+        "packets_finite": {"psi": gaussian, "phi": {"csv": "packet.csv"}, "window": window},
         "packets_gauss": {"psi": gaussian, "phi": {"gaussian": {"center": 0.0, "width": 1.0, "delay": 1.4}}},
         "packets_gauss_far": {"psi": gaussian, "phi": {"gaussian": {"center": 0.0, "width": 1.0, "delay": 50.3}}},
         "packets_csv": {"psi": {"csv": "packet.csv"}, "phi": {"csv": "packet_wide.csv"}, "window": "infinite"},
+        "packets_csv_finite": {"psi": {"csv": "packet.csv"}, "phi": {"csv": "packet_wide.csv"}, "window": window},
+        "packets_same_grid": {"psi": {"csv": "packet.csv"}, "phi": same_grid, "window": "infinite"},
+        "packets_same_grid_finite": {"psi": {"csv": "packet.csv"}, "phi": same_grid, "window": window},
         "packets_descending": {"psi": gaussian, "phi": {"csv": "descending.csv"}},
         "packets_repeated": {"psi": gaussian, "phi": {"csv": "repeated.csv"}},
     }
